@@ -7,13 +7,13 @@ reduce-then-broadcast sends only 2(N-1) messages but needs 2 log2 N
 rounds — double the latency-critical path.
 """
 
-import math
-
 import pytest
 
+from repro.collectives.schedules import allreduce_butterfly, allreduce_tree
+from repro.collectives.semantics import run_schedule
 from repro.hardware.cluster import HyadesCluster
 from repro.parallel.des_collectives import des_global_sum
-from repro.parallel.globalsum import butterfly_global_sum, tree_reduce_broadcast
+from repro.parallel.globalsum import butterfly_global_sum
 
 from _tables import emit, format_table, us
 
@@ -21,15 +21,14 @@ ROUND_COST = 4.67e-6  # per-round latency from the paper's fit
 
 
 def compare(n=16):
-    bf_rounds = int(math.log2(n))
-    _, tree_rounds = tree_reduce_broadcast([0.0] * n)
+    bf, tree = allreduce_butterfly(n, 8), allreduce_tree(n, 8)
     return {
-        "bf_latency": ROUND_COST * bf_rounds - 0.95e-6,
-        "tree_latency": ROUND_COST * tree_rounds - 0.95e-6,
-        "bf_msgs": n * bf_rounds,
-        "tree_msgs": 2 * (n - 1),
-        "bf_rounds": bf_rounds,
-        "tree_rounds": tree_rounds,
+        "bf_latency": ROUND_COST * bf.n_rounds - 0.95e-6,
+        "tree_latency": ROUND_COST * tree.n_rounds - 0.95e-6,
+        "bf_msgs": bf.total_messages,
+        "tree_msgs": tree.total_messages,
+        "bf_rounds": bf.n_rounds,
+        "tree_rounds": tree.n_rounds,
     }
 
 
@@ -56,8 +55,8 @@ def test_bench_values_agree(benchmark):
     """Both strategies compute the same (bitwise-deterministic) sum."""
     vals = [0.1 * i for i in range(16)]
     bf, _ = benchmark(butterfly_global_sum, vals)
-    tr, _ = tree_reduce_broadcast(vals)
-    assert bf[0] == pytest.approx(tr[0], rel=1e-14)
+    tr = run_schedule(allreduce_tree(16, 8), vals)
+    assert bf[0] == pytest.approx(tr[0][0], rel=1e-14)
 
 
 def test_bench_fabric_absorbs_butterfly_traffic(benchmark):

@@ -3,7 +3,7 @@
 Regenerates the measured global-sum latencies (2/4/8/16-way single-CPU
 and 2x2..2x16 SMP mix-mode), the least-squares fit
 ``tgsum = 4.67 log2 N - 0.95 us``, and verifies the Fig. 8 communication
-pattern (partial sums per round) on the wire.
+pattern: the partial sums per round, and N log2 N messages on the wire.
 """
 
 import math

@@ -106,6 +106,16 @@ print(
 PY
 
 echo
+echo "== perfbench pinned references (tiny; DES events, digests, virtual time) =="
+for workload in coupled_production pfpp_des lossy_coupling ensemble_drain; do
+  for seed in 1 2; do
+    python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+      --size tiny --seconds 1 --trace 0 >/dev/null
+    echo "perfbench $workload seed $seed: pinned checks pass"
+  done
+done
+
+echo
 echo "== chaos smoke (SIGKILL'd workers + service: nothing lost, bit-exact) =="
 python -m repro service --chaos --seed 0 --jobs 12 --workers 4 --max-wall 45
 

@@ -9,7 +9,6 @@ from .base import (
     BACKEND_NAMES,
     BACKENDS,
     CommBackend,
-    deprecated_kwarg,
     register_backend,
     resolve_backend,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "CommBackend",
     "DESBackend",
     "HybridBackend",
-    "deprecated_kwarg",
     "format_report",
     "format_sweep",
     "large_sweep",

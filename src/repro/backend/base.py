@@ -26,34 +26,12 @@ cross-validation gate asserts it anyway.
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.network.costmodel import CommCostModel
 
 #: Tier names accepted wherever ``backend=`` takes a string.
 BACKEND_NAMES = ("des", "analytic", "hybrid")
-
-
-def deprecated_kwarg(
-    old: str, new: str, extra: str = "", stacklevel: int = 3
-) -> None:
-    """Emit the standard one-release deprecation warning for a renamed
-    runtime keyword (``cost_model=`` / ``tuner=`` / ``engine=`` →
-    ``backend=``).
-
-    The default ``stacklevel`` of 3 attributes the warning to the
-    *caller of the shim owner* — correct when this helper is invoked
-    directly from the deprecated ``__init__``.  A shim that warns from
-    deeper inside (a helper of a helper) must raise it so the warning
-    still lands on the user's line; a test pins the filename for every
-    legacy spelling.
-    """
-    warnings.warn(
-        f"{old} is deprecated; pass {new} instead{extra}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
 
 
 class CommBackend(abc.ABC):
@@ -70,7 +48,7 @@ class CommBackend(abc.ABC):
     #: The analytic parameter set the tier is anchored to (bandwidths,
     #: overheads, mix-mode factors).  Always present — even the DES tier
     #: carries one, for the pack/relay terms the packet simulation does
-    #: not model and for legacy ``runtime.cost_model`` access.
+    #: not model.
     model: CommCostModel
 
     #: Attached :class:`~repro.faults.degrade.DegradationSchedule`
@@ -184,55 +162,36 @@ def register_backend(name: str, factory: Callable[[], CommBackend]) -> None:
     BACKENDS[name] = factory
 
 
-def resolve_backend(
-    spec=None,
-    *,
-    model: Optional[CommCostModel] = None,
-    tuner=None,
-) -> CommBackend:
+def resolve_backend(spec=None) -> CommBackend:
     """Resolve a ``backend=`` argument to a :class:`CommBackend`.
 
-    ``spec`` may be a :class:`CommBackend` instance (returned as-is;
-    ``model``/``tuner`` must then be left unset), a registered tier name,
-    or ``None`` — the compatibility default: an analytic backend that
-    reproduces the pre-backend runtime exactly (measured gsum tables,
-    or the caller's ``tuner`` when one was passed).
-
-    ``model``/``tuner`` parameterize the constructed tier; they exist so
-    the deprecation shims can funnel legacy ``cost_model=``/``tuner=``
-    kwargs through without changing behaviour.
+    ``spec`` may be a :class:`CommBackend` instance (returned as-is), a
+    registered tier name, or ``None`` — the compatibility default: an
+    analytic backend that reproduces the pre-backend runtime exactly
+    (measured gsum tables rather than the autotuner's schedule costs).
+    A tier with a non-default analytic model is built directly, e.g.
+    ``AnalyticBackend(model=m, calibrated=False)``.
     """
     if isinstance(spec, CommBackend):
-        if model is not None or tuner is not None:
-            raise ValueError(
-                "backend instance already carries its model/tuner; "
-                "cannot combine with cost_model=/tuner="
-            )
         return spec
     from repro.backend.analytic import AnalyticBackend
     from repro.backend.des import DESBackend
     from repro.backend.hybrid import HybridBackend
 
     if spec is None:
-        # Legacy-equivalent tier: measured-table gsums unless the caller
-        # carried a tuner, exactly the old LockstepRuntime behaviour.
-        return AnalyticBackend(model=model, tuner=tuner, calibrated=tuner is not None)
+        return AnalyticBackend(calibrated=False)
     if not isinstance(spec, str):
         raise TypeError(
             f"backend must be a tier name or CommBackend, got {type(spec).__name__}"
         )
     name = spec.lower()
     if name == "analytic":
-        return AnalyticBackend(model=model, tuner=tuner, calibrated=True)
+        return AnalyticBackend(calibrated=True)
     if name == "des":
-        if tuner is not None:
-            raise ValueError("the des backend does not take a tuner")
-        return DESBackend(model=model)
+        return DESBackend()
     if name == "hybrid":
-        return HybridBackend(model=model, tuner=tuner)
+        return HybridBackend()
     if name in BACKENDS:
-        if model is not None or tuner is not None:
-            raise ValueError(f"registered backend {name!r} takes no model=/tuner=")
         return BACKENDS[name]()
     raise ValueError(
         f"unknown backend {spec!r}; choose from {BACKEND_NAMES} "

@@ -2,11 +2,10 @@
 
 Each distinct message shape is executed once on a fresh simulated
 Arctic/StarT-X cluster and memoized — a pairwise halo leg through
-:func:`repro.parallel.des_collectives.des_exchange`, a global sum
-through :func:`~repro.parallel.des_collectives.des_global_sum` (the
-folded butterfly schedule via
-:func:`repro.collectives.des_exec.des_time_schedule` for non-power-of
--two counts), a barrier likewise.  The GCM then advances virtual time
+:func:`repro.parallel.des_collectives.des_exchange`, a global sum (any
+node count) as the butterfly schedule through
+:func:`repro.collectives.des_exec.des_time_schedule`, a barrier
+likewise.  The GCM then advances virtual time
 by packet-exact costs without re-simulating identical transfers every
 step: a coupled run issues thousands of exchanges but only a handful of
 distinct halo sizes.
@@ -75,19 +74,12 @@ class DESBackend(CommBackend):
         """Measured N-way butterfly global sum over the fabric (cached)."""
         t = self._gsum.get(n_nodes)
         if t is None:
-            if n_nodes & (n_nodes - 1) == 0:
-                from repro.parallel.des_collectives import des_global_sum
+            from repro.collectives.des_exec import des_time_schedule
+            from repro.collectives.schedules import allreduce_butterfly
 
-                _, t = des_global_sum(
-                    self._cluster(n_nodes), [float(i) for i in range(n_nodes)]
-                )
-            else:
-                from repro.collectives.des_exec import des_time_schedule
-                from repro.collectives.schedules import allreduce_butterfly
-
-                t = des_time_schedule(
-                    self._cluster(n_nodes), allreduce_butterfly(n_nodes, 8)
-                )
+            t = des_time_schedule(
+                self._cluster(n_nodes), allreduce_butterfly(n_nodes, 8)
+            )
             self._gsum[n_nodes] = t
         return t
 
@@ -132,7 +124,7 @@ class DESBackend(CommBackend):
         smp: bool = False,
         now: Optional[float] = None,
     ) -> float:
-        """Measured butterfly global sum (folded beyond powers of two)."""
+        """Measured butterfly global sum (any node count)."""
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         if n_nodes == 1:

@@ -36,8 +36,7 @@ Commands:
 
 Model-running subcommands take one ``--backend {des,analytic,hybrid}``
 flag selecting the communication fidelity tier (see
-``docs/backends.md``); the pre-redesign ``--engine`` spelling still
-parses but warns via ``DeprecationWarning``.
+``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -59,30 +58,6 @@ def _add_backend_flag(parser: argparse.ArgumentParser, default=None) -> None:
         default=default,
         help="communication fidelity tier (see docs/backends.md)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=_BACKEND_CHOICES,
-        default=None,
-        help="(deprecated) old spelling of --backend",
-    )
-
-
-def _backend_arg(args: argparse.Namespace, default=None):
-    """Resolve the tier from ``--backend`` (or the deprecated ``--engine``)."""
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        import warnings
-
-        # frames: _backend_arg <- _cmd_* <- main <- the caller of main()
-        warnings.warn(
-            "--engine is deprecated; use --backend",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        if getattr(args, "backend", None) is None:
-            return engine
-    backend = getattr(args, "backend", None)
-    return backend if backend is not None else default
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -115,7 +90,7 @@ def _cmd_backend(args: argparse.Namespace) -> int:
     if args.sweep:
         from repro.backend import format_sweep, large_sweep
 
-        tier = _backend_arg(args, default="analytic")
+        tier = args.backend or "analytic"
         report = large_sweep(n_values=tuple(args.nodes), backend=tier)
         print(format_sweep(report))
         if args.json:
@@ -136,7 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.gcm import diagnostics as diag
     from repro.gcm.ocean import ocean_model
 
-    tier = _backend_arg(args)
+    tier = args.backend
     model = ocean_model(
         nx=args.nx, ny=args.ny, nz=args.nz, px=args.px, py=args.py, dt=args.dt,
         backend=tier,
@@ -169,7 +144,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Traced coupled demo run -> Chrome trace JSON + telemetry summary."""
     from repro.obs.capture import save_trace, traced_coupled_run
 
-    tier = _backend_arg(args)
+    tier = args.backend
     print(
         f"tracing coupled demo: {args.windows} coupling window(s) on the "
         "simulated Hyades cluster"
@@ -317,7 +292,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     """Coupled run under a seeded fault plan: the reliability headline."""
     from repro.faults import run_coupled_fault_demo
 
-    tier = _backend_arg(args, default="des")
+    tier = args.backend
     if tier == "analytic":
         print(
             "faults needs a packet-capable tier: use --backend des (packet "
@@ -375,7 +350,7 @@ def _cmd_pfpp(args: argparse.Namespace) -> int:
 
     if getattr(args, "topology", None):
         return _pfpp_topology_scoreboard(args)
-    tier = _backend_arg(args)
+    tier = args.backend
     if tier is not None:
         from repro.backend import format_sweep, large_sweep
 
@@ -524,7 +499,7 @@ def _cmd_collectives(args: argparse.Namespace) -> int:
     """Autotuned collective plans: single plan, size sweep, DES check."""
     from repro.collectives import Autotuner, cost_table
 
-    tuner = Autotuner(backend=_backend_arg(args))
+    tuner = Autotuner(backend=args.backend)
     if args.sweep:
         sizes = [8, 64, 1024, 8192, 65536, 524288]
         for n in args.nodes:
@@ -632,7 +607,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
 
     root = pathlib.Path(args.dir or tempfile.mkdtemp(prefix="repro-service-"))
     client = ServiceClient(root)
-    tier = _backend_arg(args)
+    tier = args.backend
     n = max(2, min(args.jobs, 12))
     print(
         f"demo: {n}-member OGCM parameter sweep in {root}"
@@ -860,7 +835,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_faults.add_argument(
         "--spares", type=int, default=1, help="hot-spare nodes in the cluster"
     )
-    _add_backend_flag(p_faults)
+    _add_backend_flag(p_faults, default="des")
     p_faults.set_defaults(func=_cmd_faults)
 
     p_pfpp = sub.add_parser("pfpp", help="interconnect PFPP summary")

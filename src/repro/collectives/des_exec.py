@@ -2,13 +2,14 @@
 
 Two executors over the same :class:`~repro.collectives.schedules.Schedule`:
 
-* :func:`des_time_schedule` — the *timing* path: every send becomes
-  real simulated traffic (single PIO packets for <= 88 B payloads with
-  the shared ``GSUM_SW_COST`` poll loop, exactly as
-  :func:`repro.parallel.des_collectives.des_global_sum`; VI block
-  transfers beyond, served through the shared
-  :class:`~repro.parallel.des_spmd._VIDemux`).  This is what the
-  autotuner cross-validates its analytic predictions against.
+* :func:`des_time_schedule` — the *timing* path and the only
+  packet-level collective executor: every send becomes real simulated
+  traffic (single PIO packets for <= 88 B payloads with the shared
+  ``GSUM_SW_COST`` poll loop; VI block transfers beyond, served through
+  the shared :class:`~repro.parallel.des_spmd._VIDemux`).  The paper's
+  global sum (:func:`repro.parallel.des_collectives.des_global_sum`)
+  and barrier, the DES backend's gsum quotes and the autotuner's
+  cross-validation all time their schedules here.
 * :func:`des_run_schedule` — the *data* path: the schedule's logical
   items (see :mod:`repro.collectives.semantics`) are serialized and
   shipped through the go-back-N reliable layer
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import itertools
@@ -48,8 +50,11 @@ from .semantics import ItemStore
 _PIO_TAG_BASE = 0x600
 
 
-def _pio_words(nbytes: int) -> List[int]:
-    return [0] * min(
+@lru_cache(maxsize=None)
+def _pio_words(nbytes: int) -> Tuple[int, ...]:
+    """Zero payload words of one PIO packet carrying ``nbytes`` (cached:
+    the timing executor asks once per message)."""
+    return (0,) * min(
         max(math.ceil(max(nbytes, 8) / WORD_BYTES), 2), MAX_PAYLOAD_WORDS
     )
 
@@ -89,7 +94,9 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
     """Execute a schedule's raw traffic on the DES cluster.
 
     Payload contents are zeros — only sizes matter — and the elapsed
-    virtual seconds until every rank completes are returned.
+    virtual seconds until every rank completes are returned.  A message
+    lost on the fabric surfaces as a watchdog ``DeadlockError`` naming
+    the blocked ranks, never as a hang.
     """
     n = schedule.n
     if n > cluster.n_nodes:
@@ -97,35 +104,36 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
     if schedule.n_rounds == 0:
         return 0.0
     eng = cluster.engine
-    demux = _VIDemux.of(cluster)
+    uses_vi = any(
+        s.nbytes > SMALL_MSG_MAX_BYTES for rnd in schedule.rounds for s in rnd
+    )
+    # PIO-only schedules (every global sum) need no VI request servers
+    demux = _VIDemux.of(cluster) if uses_vi else None
     done_times = [0.0] * n
     pio_stash: List[Dict[Tuple[int, int], object]] = [{} for _ in range(n)]
 
     def rank_proc(me: int):
         niu = cluster.niu(me)
-        for i, _rnd in enumerate(schedule.rounds):
+        stash = pio_stash[me]
+        for i in range(schedule.n_rounds):
             t0 = eng.now
-            sends = schedule.sends_from(i, me)
-            recvs = schedule.incoming(i, me)
-            for s in sends:
-                if max(s.nbytes, 8) <= SMALL_MSG_MAX_BYTES:
+            tag = _PIO_TAG_BASE | i
+            for s in schedule.sends_from(i, me):
+                if s.nbytes <= SMALL_MSG_MAX_BYTES:
                     yield from niu.pio_send(
-                        s.dst,
-                        _pio_words(s.nbytes),
-                        tag=_PIO_TAG_BASE | i,
-                        priority=Priority.LOW,
+                        s.dst, _pio_words(s.nbytes), tag=tag, priority=Priority.LOW
                     )
                 else:
                     yield from niu.vi_send(s.dst, s.nbytes, xid=(me << 12) | i)
-            for s in recvs:
-                if max(s.nbytes, 8) <= SMALL_MSG_MAX_BYTES:
-                    want = (_PIO_TAG_BASE | i, s.src)
-                    while want not in pio_stash[me]:
+            for s in schedule.incoming(i, me):
+                if s.nbytes <= SMALL_MSG_MAX_BYTES:
+                    want = (tag, s.src)
+                    while want not in stash:
                         # software poll/loop cost, then block for a packet
                         yield eng.timeout(GSUM_SW_COST)
                         pkt = yield from niu.pio_recv()
-                        pio_stash[me][(pkt.tag, pkt.src)] = pkt
-                    pio_stash[me].pop(want)
+                        stash[(pkt.tag, pkt.src)] = pkt
+                    del stash[want]
                 else:
                     yield from demux.await_slab(me, s.src, i)
                     # the NIU's VI path bills only the sender's DMA; the
@@ -133,15 +141,12 @@ def des_time_schedule(cluster: HyadesCluster, schedule: Schedule) -> float:
                     # traffic (Section 4.1: one transfer saturates the
                     # bus), so bill it here with the shared leg cost
                     yield eng.timeout(
-                        TRANSFER_OVERHEAD + max(s.nbytes, 8) / TRANSFER_BANDWIDTH
+                        TRANSFER_OVERHEAD + s.nbytes / TRANSFER_BANDWIDTH
                     )
             _trace_round(schedule.op, schedule.algorithm, me, i, t0, eng.now)
         done_times[me] = eng.now
 
     start = eng.now
-    uses_vi = any(
-        s.nbytes > SMALL_MSG_MAX_BYTES for rnd in schedule.rounds for s in rnd
-    )
     for r in range(n):
         if uses_vi:
             demux.ensure_server(r)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.network.overheads import MIN_WIRE_BYTES
@@ -128,13 +129,25 @@ class Schedule:
     def total_bytes(self) -> int:
         return sum(max(s.nbytes, MIN_WIRE_BYTES) for r in self.rounds for s in r)
 
+    @cached_property
+    def _by_rank(self) -> List[Dict[int, List[Send]]]:
+        """``_by_rank[rank][round]`` = the sends ``rank`` takes part in,
+        indexed in one pass so executors need not rescan a round per
+        rank.  Sparse: a rank idle in a round has no entry."""
+        index: List[Dict[int, List[Send]]] = [{} for _ in range(self.n)]
+        for i, rnd in enumerate(self.rounds):
+            for s in rnd:
+                index[s.src].setdefault(i, []).append(s)
+                index[s.dst].setdefault(i, []).append(s)
+        return index
+
     def sends_from(self, round_i: int, rank: int) -> List[Send]:
         """The messages ``rank`` posts in round ``round_i``."""
-        return [s for s in self.rounds[round_i] if s.src == rank]
+        return [s for s in self._by_rank[rank].get(round_i, ()) if s.src == rank]
 
     def incoming(self, round_i: int, rank: int) -> List[Send]:
         """The messages ``rank`` awaits in round ``round_i``."""
-        return [s for s in self.rounds[round_i] if s.dst == rank]
+        return [s for s in self._by_rank[rank].get(round_i, ()) if s.dst == rank]
 
     # ---- validation ---------------------------------------------------
 

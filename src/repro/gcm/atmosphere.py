@@ -58,6 +58,8 @@ def atmosphere_config(
         machine=MachineModel(),
     )
     for k, v in overrides.items():
+        if not hasattr(cfg, k):
+            raise TypeError(f"unknown ModelConfig field {k!r}")
         setattr(cfg, k, v)
     return cfg
 

@@ -75,11 +75,8 @@ def _interior_dot_stacked(decomp, a: np.ndarray, b: np.ndarray, flops: FlopCount
 
 
 def _default_gsum(partials: Sequence[float]) -> float:
-    n = 1
-    while n < len(partials):
-        n *= 2
-    padded = list(partials) + [0.0] * (n - len(partials))
-    return butterfly_global_sum(padded)[0][0]
+    """Cost-free butterfly sum, folding like the runtime's ``GlobalSummer``."""
+    return butterfly_global_sum(partials)[0][0]
 
 
 def preconditioned_cg(

@@ -51,6 +51,8 @@ def ocean_config(
         machine=MachineModel(),
     )
     for k, v in overrides.items():
+        if not hasattr(cfg, k):
+            raise TypeError(f"unknown ModelConfig field {k!r}")
         setattr(cfg, k, v)
     return cfg
 

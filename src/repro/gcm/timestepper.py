@@ -41,7 +41,6 @@ from repro.gcm.prognostic import (
     provisional_velocity,
 )
 from repro.gcm.state import ModelState
-from repro.network.costmodel import CommCostModel
 from repro.parallel.exchange import HaloExchanger, exchange_halos
 from repro.parallel.runtime import LockstepRuntime, MachineModel
 from repro.parallel.tiling import Decomposition
@@ -70,9 +69,6 @@ class ModelConfig:
     #: "hybrid"), a :class:`repro.backend.CommBackend` instance, or
     #: ``None`` for the legacy analytic default.
     backend: Any = None
-    #: Analytic parameter set for a backend built from a tier name (a
-    #: backend *instance* carries its own model).
-    cost_model: Optional[CommCostModel] = None
     machine: MachineModel = dc_field(default_factory=MachineModel)
     tracer_name: str = "salt"  # "salt" (ocean) or "q" (atmosphere)
     #: Restore the non-hydrostatic pressure component (Section 3.1):
@@ -152,11 +148,9 @@ class Model:
         cpn = config.cpus_per_node
         if self.decomp.n_ranks % cpn:
             cpn = 1
-        from repro.backend import resolve_backend
-
         self.runtime = runtime or LockstepRuntime(
             self.decomp,
-            backend=resolve_backend(config.backend, model=config.cost_model),
+            backend=config.backend,
             cpus_per_node=cpn,
             machine=config.machine,
         )

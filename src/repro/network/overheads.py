@@ -2,8 +2,8 @@
 
 One documented place for the per-message/per-round software costs that
 both the *analytic* models (:mod:`repro.network.costmodel`,
-:mod:`repro.collectives.cost`) and the *packet-level DES* paths
-(:mod:`repro.parallel.des_collectives`, :mod:`repro.collectives.des_exec`)
+:mod:`repro.collectives.cost`) and the *packet-level DES* path
+(:mod:`repro.collectives.des_exec`, which times every DES collective)
 consume.  Before this module the DES global sum and the analytic cost
 model each carried their own copy of these numbers; a calibration tweak
 in one silently diverged from the other.

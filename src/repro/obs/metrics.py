@@ -189,7 +189,7 @@ def phase_crosscheck(model) -> list[dict]:
     rec = rt.metrics
     if rec is None or not model.history:
         raise ValueError("attach a MetricsRecorder and run >= 1 step first")
-    cm = rt.cost_model
+    cm = rt.backend.model
     n_steps = len(model.history)
     totals = {name: tot for name, tot in rec.phases.items()}
     ps = totals.get("ps", PhaseTotals())

@@ -21,11 +21,7 @@ the stand-alone microbenchmarks.
 
 from repro.parallel.tiling import Decomposition, Tile
 from repro.parallel.exchange import HaloExchanger, exchange_halos
-from repro.parallel.globalsum import (
-    GlobalSummer,
-    butterfly_global_sum,
-    butterfly_rounds,
-)
+from repro.parallel.globalsum import GlobalSummer, butterfly_global_sum
 from repro.parallel.runtime import (
     LockstepRuntime,
     MachineModel,
@@ -41,7 +37,6 @@ __all__ = [
     "exchange_halos",
     "GlobalSummer",
     "butterfly_global_sum",
-    "butterfly_rounds",
     "LockstepRuntime",
     "StragglerConfig",
     "StragglerMitigator",

@@ -9,79 +9,31 @@ here they validate the analytic models against the simulated hardware.
 
 from __future__ import annotations
 
-import math
-import struct
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.hardware.cluster import HyadesCluster
-from repro.network.overheads import GSUM_SW_COST  # noqa: F401  (re-exported)
-from repro.network.packet import Priority
-
-# GSUM_SW_COST — the per-round software cost charged by the poll loop
-# below — is shared with the analytic models via repro.network.overheads
-# (see that module for the calibration story).
-
-
-def _pack(value: float) -> list[int]:
-    hi, lo = struct.unpack(">II", struct.pack(">d", value))
-    return [hi, lo]
-
-
-def _unpack(words: Sequence[int]) -> float:
-    return struct.unpack(">d", struct.pack(">II", words[0], words[1]))[0]
+from repro.parallel.globalsum import canonical_fold_reduce
 
 
 def des_global_sum(
-    cluster: HyadesCluster,
-    values: Sequence[float],
-    record: Optional[list] = None,
+    cluster: HyadesCluster, values: Sequence[float]
 ) -> tuple[list[float], float]:
-    """Run one butterfly global sum on the DES cluster.
+    """Run one butterfly global sum on the DES cluster (any node count).
 
     Returns ``(per-node results, elapsed seconds)``.  Nodes 0..N-1 of the
-    cluster participate with ``values[i]``; each round exchanges 8-byte
-    payload PIO messages with the partner ``rank ^ 2**i`` (Fig. 8).
+    cluster take part; each butterfly round exchanges 8-byte PIO
+    messages with the partner ``rank ^ 2**i`` (Fig. 8), and counts that
+    are not powers of two fold in and out around it.  The time is the
+    :func:`~repro.collectives.schedules.allreduce_butterfly` schedule
+    executed packet by packet; the value every node ends with is the
+    butterfly's canonical association,
+    :func:`~repro.parallel.globalsum.canonical_fold_reduce`.
     """
-    n = len(values)
-    if n & (n - 1) or n < 1:
-        raise ValueError("power-of-two node count required")
-    if n > cluster.n_nodes:
-        raise ValueError("more values than cluster nodes")
-    eng = cluster.engine
-    rounds = int(math.log2(n)) if n > 1 else 0
-    results: list[Optional[float]] = [None] * n
-    done_times: list[float] = [0.0] * n
+    from repro.collectives.des_exec import des_time_schedule
+    from repro.collectives.schedules import allreduce_butterfly
 
-    def node_proc(me: int):
-        partial = float(values[me])
-        inbox: dict[int, float] = {}
-        for i in range(rounds):
-            partner = me ^ (1 << i)
-            yield from cluster.niu(me).pio_send(
-                partner, _pack(partial), tag=i, priority=Priority.LOW
-            )
-            while i not in inbox:
-                # software poll/loop cost, then block for the message
-                yield eng.timeout(GSUM_SW_COST)
-                pkt = yield from cluster.niu(me).pio_recv()
-                inbox[pkt.tag] = _unpack(pkt.payload_words)
-            other = inbox.pop(i)
-            # canonical order: lower group + higher group => bitwise
-            # identical partials on every node
-            partial = (partial + other) if me < partner else (other + partial)
-            if record is not None:
-                record.append((i, me, partial))
-        results[me] = partial
-        done_times[me] = eng.now
-
-    start = eng.now
-    for r in range(n):
-        eng.process(node_proc(r), name=f"gsum-rank{r}")
-    # watchdog: a dropped partial must surface as a DeadlockError naming
-    # the blocked ranks, not as an infinite hang
-    eng.run(watchdog=True)
-    elapsed = max(done_times) - start if n > 1 else 0.0
-    return [float(v) for v in results], elapsed  # type: ignore[arg-type]
+    elapsed = des_time_schedule(cluster, allreduce_butterfly(len(values), 8))
+    return [canonical_fold_reduce(values)] * len(values), elapsed
 
 
 def des_barrier(cluster: HyadesCluster, n: int) -> float:

@@ -11,7 +11,10 @@ Non-power-of-two counts fold into the nearest power of two below
 sends its value to rank ``e - m``, which absorbs it before the
 butterfly proper; a *post* round broadcasts the finished sum back to
 the extras.  Latency grows by two rounds, and the combine order stays
-canonical.
+canonical.  The message pattern itself (rounds, partners, message
+counts) is described once, by
+:func:`repro.collectives.schedules.allreduce_butterfly`; this module
+holds the arithmetic.
 
 Determinism: each combine adds the lower-group partial to the
 higher-group partial in canonical order, so every node finishes with a
@@ -25,16 +28,9 @@ association (see :func:`canonical_fold_reduce`).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-def _check_pow2(n: int) -> int:
-    """Validate a genuinely power-of-two-only algorithm's rank count."""
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"this algorithm requires a power-of-two node count, got {n}")
-    return int(math.log2(n))
 
 
 def largest_pow2_below(n: int) -> int:
@@ -60,29 +56,6 @@ def canonical_fold_reduce(values: Sequence) -> "np.ndarray | float":
     while len(base) > 1:
         base = [base[i] + base[i + 1] for i in range(0, len(base), 2)]
     return float(base[0]) if scalar else base[0]
-
-
-def butterfly_rounds(n: int) -> list[list[tuple[int, int]]]:
-    """Communication pattern: per round, the (rank, partner) pairs.
-
-    For non-power-of-two ``n`` the first round is the fold-in (extras
-    send to ``rank - m``) and the last is the fold-out broadcast back;
-    in between only the ``m`` base ranks exchange.
-    """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    m = largest_pow2_below(n)
-    rounds: list[list[tuple[int, int]]] = []
-    if m < n:
-        rounds.append([(e, e - m) for e in range(m, n)])
-    log_m = int(math.log2(m))
-    rounds.extend(
-        [(r, r ^ (1 << i)) for r in range(m)]
-        for i in range(log_m)
-    )
-    if m < n:
-        rounds.append([(e - m, e) for e in range(m, n)])
-    return rounds
 
 
 def butterfly_global_sum(
@@ -119,32 +92,6 @@ def butterfly_global_sum(
     return partial, trace
 
 
-def tree_reduce_broadcast(values: Sequence[float]) -> tuple[list[float], int]:
-    """Baseline: binomial-tree reduce to node 0 then broadcast.
-
-    Returns ``(results, rounds)``; latency is ``2 log2 N`` rounds (plus
-    two fold rounds when N is not a power of two) versus the butterfly's
-    ``log2 N`` — the ablation of Section 4.2's design choice ("minimizes
-    latency at the expense of more messages").  The combine order
-    matches :func:`canonical_fold_reduce` bitwise.
-    """
-    n = len(values)
-    m = largest_pow2_below(n)
-    partial = [float(v) for v in values]
-    rounds = 0
-    if m < n:
-        for e in range(m, n):
-            partial[e - m] = partial[e - m] + partial[e]
-        rounds += 2  # fold-in + fold-out
-    log_m = int(math.log2(m))
-    for i in range(log_m):  # reduce
-        step = 1 << i
-        for r in range(0, m, step * 2):
-            partial[r] = partial[r] + partial[r + step]
-    result = partial[0]
-    return [result] * n, rounds + 2 * log_m
-
-
 class GlobalSummer:
     """Hierarchical (mix-mode) global sum over an SMP cluster.
 
@@ -168,7 +115,6 @@ class GlobalSummer:
         cpus_per_node: int = 1,
         algorithm: str = "butterfly",
         backend=None,
-        tuner: Optional[object] = None,
     ) -> None:
         if n_ranks % max(cpus_per_node, 1):
             raise ValueError("n_ranks must be a multiple of cpus_per_node")
@@ -180,22 +126,15 @@ class GlobalSummer:
         self.count = 0
         self.algorithm = algorithm
         self.plan = None
-        if tuner is not None:
-            from repro.backend import deprecated_kwarg
-
-            if backend is not None:
-                raise ValueError("pass backend= alone; tuner= is deprecated")
-            deprecated_kwarg("GlobalSummer(tuner=)", "backend=")
         if algorithm == "auto":
+            from repro.backend import resolve_backend
+
+            be = resolve_backend(backend or "analytic")
+            tuner = getattr(be, "tuner", None)
             if tuner is None:
-                from repro.backend import resolve_backend
+                from repro.collectives.tuner import Autotuner
 
-                be = resolve_backend(backend or "analytic")
-                tuner = getattr(be, "tuner", None)
-                if tuner is None:
-                    from repro.collectives.tuner import Autotuner
-
-                    tuner = Autotuner(be.model)
+                tuner = Autotuner(be.model)
             self.plan = tuner.plan("allreduce", self.n_nodes, nbytes=8)
             self.algorithm = self.plan.algorithm
         elif algorithm != "butterfly":
@@ -216,11 +155,3 @@ class GlobalSummer:
         ]
         results, _ = butterfly_global_sum(local)
         return results[0]
-
-    def message_count(self) -> int:
-        """Fabric messages per sum: m log2 m plus 2 per folded extra."""
-        n = self.n_nodes
-        if n < 2:
-            return 0
-        m = largest_pow2_below(n)
-        return m * int(math.log2(m)) + 2 * (n - m)

@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backend import CommBackend, deprecated_kwarg, resolve_backend
-from repro.network.costmodel import CommCostModel
+from repro.backend import resolve_backend
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRecorder
 from repro.parallel.exchange import exchange_halos
@@ -90,8 +89,6 @@ class LockstepRuntime:
         cpus_per_node: int = 1,
         machine: Optional[MachineModel] = None,
         record_timeline: bool = False,
-        cost_model: Optional[CommCostModel] = None,
-        tuner=None,
         n_nodes: Optional[int] = None,
     ) -> None:
         if cpus_per_node < 1:
@@ -110,20 +107,9 @@ class LockstepRuntime:
                     "tiles per node"
                 )
         self.decomp = decomp
-        if isinstance(backend, CommCostModel):
-            # positional caller from the pre-backend signature
-            deprecated_kwarg("LockstepRuntime(decomp, cost_model)", "backend=")
-            backend, cost_model = None, backend
-        elif cost_model is not None or tuner is not None:
-            if backend is not None:
-                raise ValueError(
-                    "pass backend= alone; cost_model=/tuner= are its "
-                    "deprecated spellings"
-                )
-            deprecated_kwarg("LockstepRuntime(cost_model=/tuner=)", "backend=")
         #: The :class:`repro.backend.CommBackend` quoting every
         #: communication cost this runtime charges.
-        self.backend = resolve_backend(backend, model=cost_model, tuner=tuner)
+        self.backend = resolve_backend(backend)
         self.cpus_per_node = cpus_per_node
         self.machine = machine or MachineModel()
         self.n_ranks = decomp.n_ranks
@@ -157,16 +143,6 @@ class LockstepRuntime:
         self.current_phase = "ps"
         #: Track label for trace spans of this runtime's lockstep clock.
         self.trace_label = "bsp"
-
-    @property
-    def cost_model(self) -> CommCostModel:
-        """Deprecated alias: the backend's analytic parameter set."""
-        return self.backend.model
-
-    @property
-    def tuner(self):
-        """Deprecated alias: the backend's collectives tuner (if any)."""
-        return getattr(self.backend, "tuner", None)
 
     def attach_metrics(self, recorder: Optional[MetricsRecorder] = None) -> MetricsRecorder:
         """Attach (and return) a per-phase telemetry recorder."""

@@ -1,4 +1,10 @@
-"""The redesign's compatibility shims: old spellings work but warn."""
+"""The redesign's deprecated spellings are removed; one spelling remains.
+
+``cost_model=``/``tuner=`` on the runtime and ``tuner=`` on the global
+summer are gone, as is the CLI's ``--engine``.  Their exact equivalents
+are ``backend=AnalyticBackend(model=m, calibrated=False)`` and
+``backend=AnalyticBackend(tuner=t)``.
+"""
 
 import warnings
 
@@ -17,60 +23,64 @@ def _decomp():
 
 
 class TestLockstepRuntime:
-    def test_cost_model_kwarg_warns_and_works(self):
-        model = arctic_cost_model()
-        with pytest.warns(DeprecationWarning, match="backend="):
-            rt = LockstepRuntime(_decomp(), cost_model=model)
-        assert rt.backend.model is model
-
-    def test_positional_cost_model_warns_and_works(self):
-        model = arctic_cost_model()
-        with pytest.warns(DeprecationWarning, match="backend="):
-            rt = LockstepRuntime(_decomp(), model)
-        assert rt.backend.model is model
-
-    def test_tuner_kwarg_warns_and_threads_through(self):
-        tuner = Autotuner(arctic_cost_model())
-        with pytest.warns(DeprecationWarning, match="backend="):
-            rt = LockstepRuntime(_decomp(), tuner=tuner)
-        assert rt.tuner is tuner
-
-    def test_backend_plus_legacy_kwarg_rejected(self):
-        with pytest.raises(ValueError, match="deprecated spellings"):
-            LockstepRuntime(
-                _decomp(), backend="analytic", cost_model=arctic_cost_model()
-            )
-
-    def test_cost_model_property_aliases_backend_model(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the new spelling must not warn
-            rt = LockstepRuntime(_decomp(), backend="analytic")
-        assert rt.cost_model is rt.backend.model
-
     def test_new_spelling_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             LockstepRuntime(_decomp(), backend=AnalyticBackend())
 
-
-class TestGlobalSummer:
-    def test_tuner_kwarg_warns(self):
-        tuner = Autotuner(arctic_cost_model())
-        with pytest.warns(DeprecationWarning, match="backend="):
-            gs = GlobalSummer(4, algorithm="auto", tuner=tuner)
-        assert gs.plan is not None
-
-    def test_backend_plus_tuner_rejected(self):
-        with pytest.raises(ValueError, match="deprecated"):
-            GlobalSummer(
-                4, algorithm="auto", backend="analytic",
-                tuner=Autotuner(arctic_cost_model()),
+    def test_backend_plus_legacy_kwarg_rejected(self):
+        with pytest.raises(TypeError):
+            LockstepRuntime(
+                _decomp(), backend="analytic", cost_model=arctic_cost_model()
             )
 
+    @pytest.mark.parametrize("kwarg", ["cost_model", "tuner"])
+    def test_removed_kwargs_rejected(self, kwarg):
+        with pytest.raises(TypeError):
+            LockstepRuntime(_decomp(), **{kwarg: arctic_cost_model()})
+
+    def test_positional_cost_model_rejected(self):
+        with pytest.raises(TypeError, match="tier name or CommBackend"):
+            LockstepRuntime(_decomp(), arctic_cost_model())
+
+    def test_equivalents_carry_model_and_tuner(self):
+        model, tuner = arctic_cost_model(), Autotuner()
+        rt = LockstepRuntime(
+            _decomp(), backend=AnalyticBackend(model=model, calibrated=False)
+        )
+        assert rt.backend.model is model and rt.backend.tuner is None
+        rt = LockstepRuntime(_decomp(), backend=AnalyticBackend(tuner=tuner))
+        assert rt.backend.tuner is tuner
+
+
+class TestGlobalSummer:
     def test_backend_spelling_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             GlobalSummer(4, algorithm="auto", backend="analytic")
+
+    def test_backend_plus_tuner_rejected(self):
+        with pytest.raises(TypeError):
+            GlobalSummer(
+                4, algorithm="auto", backend="analytic", tuner=Autotuner()
+            )
+
+    def test_tuner_kwarg_rejected(self):
+        with pytest.raises(TypeError):
+            GlobalSummer(4, algorithm="auto", tuner=Autotuner())
+
+
+class TestModelBuilders:
+    @pytest.mark.parametrize("builder", ["ocean", "atmosphere"])
+    def test_cost_model_override_rejected(self, builder):
+        """``ModelConfig.cost_model`` is gone: the builders refuse the
+        key instead of silently ignoring it."""
+        from repro.gcm.atmosphere import atmosphere_config
+        from repro.gcm.ocean import ocean_config
+
+        config = {"ocean": ocean_config, "atmosphere": atmosphere_config}[builder]
+        with pytest.raises(TypeError, match="cost_model"):
+            config(cost_model=arctic_cost_model())
 
 
 class TestAutotuner:
@@ -84,56 +94,7 @@ class TestAutotuner:
         assert tuner.model is be.model
 
 
-class TestWarningAttribution:
-    """Every legacy spelling must blame the *caller's* line — this
-    file — not a frame inside repro's shims (the point of a
-    deprecation warning is telling the user which of *their* lines to
-    change)."""
-
-    @staticmethod
-    def _only_deprecation(records):
-        dep = [w for w in records if issubclass(w.category, DeprecationWarning)]
-        assert dep, "expected a DeprecationWarning"
-        return dep[-1]
-
-    def test_runtime_cost_model_kwarg_blames_caller(self):
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            LockstepRuntime(_decomp(), cost_model=arctic_cost_model())
-        assert self._only_deprecation(w).filename == __file__
-
-    def test_runtime_positional_model_blames_caller(self):
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            LockstepRuntime(_decomp(), arctic_cost_model())
-        assert self._only_deprecation(w).filename == __file__
-
-    def test_summer_tuner_kwarg_blames_caller(self):
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            GlobalSummer(
-                4, algorithm="auto", tuner=Autotuner(arctic_cost_model())
-            )
-        assert self._only_deprecation(w).filename == __file__
-
-    def test_cli_engine_flag_blames_mains_caller(self):
-        from repro.cli import main
-
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            main(["backend", "--sweep", "--nodes", "16", "--engine", "analytic"])
-        assert self._only_deprecation(w).filename == __file__
-
-
 class TestCLI:
-    def test_engine_flag_warns_and_maps_to_backend(self, capsys):
-        from repro.cli import main
-
-        with pytest.warns(DeprecationWarning, match="--backend"):
-            rc = main(["backend", "--sweep", "--nodes", "16", "--engine", "analytic"])
-        assert rc == 0
-        assert "analytic" in capsys.readouterr().out
-
     def test_backend_flag_is_warning_free(self, capsys):
         from repro.cli import main
 
@@ -141,3 +102,10 @@ class TestCLI:
             warnings.simplefilter("error", DeprecationWarning)
             rc = main(["backend", "--sweep", "--nodes", "16", "--backend", "analytic"])
         assert rc == 0
+
+    def test_engine_flag_rejected(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["backend", "--sweep", "--nodes", "16", "--engine", "analytic"])
+        assert "--engine" in capsys.readouterr().err

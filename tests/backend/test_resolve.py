@@ -46,12 +46,15 @@ class TestInstances:
         assert resolve_backend(be) is be
 
     def test_instance_refuses_extra_model(self):
-        with pytest.raises(ValueError, match="cost_model"):
+        """``model=`` is no longer a resolve option: an instance carries
+        its own model, and a tier with another model is built directly."""
+        with pytest.raises(TypeError):
             resolve_backend(DESBackend(), model=arctic_cost_model())
 
     def test_des_refuses_tuner(self):
-        with pytest.raises(ValueError, match="tuner"):
+        with pytest.raises(TypeError):
             resolve_backend("des", tuner=object())
+
 
 
 class TestDefault:
@@ -79,8 +82,6 @@ class TestRegistry:
             be = resolve_backend("free")
             assert isinstance(be, FreeBackend)
             assert be.exchange_time([1024]) == 0.0
-            with pytest.raises(ValueError, match="takes no model"):
-                resolve_backend("free", model=arctic_cost_model())
         finally:
             BACKENDS.pop("free", None)
 

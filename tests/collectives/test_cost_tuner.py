@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import AnalyticBackend
 from repro.collectives import Autotuner, cost_table, schedule_cost
 from repro.collectives.schedules import build
 from repro.core.pfpp import best_collectives_table
@@ -87,7 +88,7 @@ class TestCaching:
 class TestRuntimeWiring:
     def test_runtime_charges_tuned_gsum(self):
         decomp = Decomposition(16, 16, 4, 4)
-        tuned = LockstepRuntime(decomp, tuner=Autotuner())
+        tuned = LockstepRuntime(decomp, backend=AnalyticBackend(tuner=Autotuner()))
         plain = LockstepRuntime(decomp)
         assert tuned.global_sum([1.0] * 16) == plain.global_sum([1.0] * 16)
         # both charge a 16-way gsum within 10% of the measured latency
@@ -98,7 +99,7 @@ class TestRuntimeWiring:
 
     def test_runtime_barrier_uses_tuner(self):
         decomp = Decomposition(16, 16, 4, 4)
-        rt = LockstepRuntime(decomp, tuner=Autotuner())
+        rt = LockstepRuntime(decomp, backend=AnalyticBackend(tuner=Autotuner()))
         rt.barrier()
         assert rt.elapsed == pytest.approx(Autotuner().barrier_time(16))
 

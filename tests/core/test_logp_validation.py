@@ -74,7 +74,7 @@ class TestValidation:
         ni = float(sum(h.ni for h in m.history[1:]) / (len(m.history) - 1))
         flops_ps = sum(h.flops_ps for h in m.history[1:]) / (len(m.history) - 1)
         flops_ds = sum(h.flops_ds for h in m.history[1:]) / (len(m.history) - 1)
-        cm = m.runtime.cost_model
+        cm = m.runtime.backend.model
         edges = m.decomp.edge_bytes(nz=5, rank=0)
         texchxyz = cm.exchange_time(edges, mixmode=m.runtime.mixmode, n_ranks=4)
         ds_edges = m.ds_decomp.edge_bytes(nz=1, width=1, rank=0)

@@ -7,6 +7,7 @@ model+runtime, not just from the standalone PFPP arithmetic.
 
 import pytest
 
+from repro.backend import AnalyticBackend
 from repro.gcm import diagnostics as diag
 from repro.gcm.ocean import ocean_model
 from repro.network.costmodel import (
@@ -18,7 +19,8 @@ from repro.network.costmodel import (
 
 def run_on(cost_model, steps=4):
     m = ocean_model(
-        nx=64, ny=32, nz=8, px=2, py=2, dt=900.0, cost_model=cost_model
+        nx=64, ny=32, nz=8, px=2, py=2, dt=900.0,
+        backend=AnalyticBackend(model=cost_model, calibrated=False),
     )
     m.run(steps)
     return m
@@ -43,6 +45,18 @@ class TestInterconnectIntegration:
             np.testing.assert_array_equal(
                 runs[name].state.to_global("theta"), ref, err_msg=name
             )
+
+    def test_elapsed_pinned(self, runs):
+        """Every term priced from the interconnect's own model (the
+        uncalibrated analytic tier): these are the virtual times the
+        removed ``cost_model=`` spelling charged."""
+        pinned = {
+            "arctic": 0.19193352692640692,
+            "ge": 0.41135099335463265,
+            "fe": 0.7964569977015672,
+        }
+        for name, elapsed in pinned.items():
+            assert runs[name].runtime.elapsed == pytest.approx(elapsed, rel=1e-12)
 
     def test_virtual_time_ordering(self, runs):
         assert runs["arctic"].runtime.elapsed < runs["ge"].runtime.elapsed

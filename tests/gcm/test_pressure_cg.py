@@ -9,6 +9,7 @@ from repro.gcm.operators import FlopCounter
 from repro.gcm.pressure import EllipticOperator
 from repro.gcm.topography import double_basin
 from repro.parallel.exchange import exchange_halos
+from repro.parallel.runtime import LockstepRuntime
 from repro.parallel.tiling import Decomposition
 
 
@@ -207,6 +208,22 @@ class TestCGSolver:
         for key, (it, sol) in results.items():
             assert abs(it - base_it) <= 1
             np.testing.assert_allclose(sol, base_sol, atol=1e-7)
+
+    def test_default_gsum_folds_like_the_runtime(self):
+        """On a non-power-of-two rank count the cost-free default hook
+        reduces in the runtime's fold order, so the solve is
+        bit-identical to one charged through a LockstepRuntime."""
+        g, ell = setup(nx=24, px=3, py=1)
+        _, rhs = manufactured_rhs(g, ell, seed=13)
+        rt = LockstepRuntime(g.decomp, cpus_per_node=1)
+        free = preconditioned_cg(ell, rhs, FlopCounter(), tol=1e-12, maxiter=300)
+        charged = preconditioned_cg(
+            ell, rhs, FlopCounter(), tol=1e-12, maxiter=300, global_sum=rt.global_sum
+        )
+        assert free.iterations == charged.iterations
+        assert free.residual == charged.residual
+        for a, b in zip(free.x, charged.x):
+            np.testing.assert_array_equal(a, b)
 
     def test_x0_warm_start(self):
         g, ell = setup()

@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import HyadesCluster
+from repro.collectives.des_exec import des_time_schedule
+from repro.collectives.schedules import allreduce_butterfly, allreduce_tree
+from repro.collectives.semantics import run_schedule
+from repro.hardware import HyadesCluster, HyadesConfig
 from repro.parallel.des_collectives import des_barrier, des_global_sum
 from repro.parallel.globalsum import (
     GlobalSummer,
     butterfly_global_sum,
-    butterfly_rounds,
     canonical_fold_reduce,
-    tree_reduce_broadcast,
 )
+
+
+def _pairs(schedule):
+    """Per round, the (src, dst) pairs of a schedule."""
+    return [[(s.src, s.dst) for s in rnd] for rnd in schedule.rounds]
 
 
 class TestButterflyAlgorithm:
@@ -65,7 +71,7 @@ class TestButterflyAlgorithm:
             assert results[0] == canonical_fold_reduce(vals)
 
     def test_non_power_of_two_rounds_pattern(self):
-        rounds = butterfly_rounds(5)
+        rounds = _pairs(allreduce_butterfly(5, 8))
         # fold-in, 2 butterfly rounds over the base 4, fold-out
         assert rounds[0] == [(4, 0)]
         assert rounds[-1] == [(0, 4)]
@@ -76,7 +82,7 @@ class TestButterflyAlgorithm:
         assert results == [5.0] and trace == []
 
     def test_rounds_pattern(self):
-        rounds = butterfly_rounds(8)
+        rounds = _pairs(allreduce_butterfly(8, 8))
         assert len(rounds) == 3
         assert (0, 1) in rounds[0]
         assert (0, 2) in rounds[1]
@@ -85,25 +91,25 @@ class TestButterflyAlgorithm:
     def test_message_count_n_log_n(self):
         # Each round every node sends one message: N log2 N total.
         n = 16
-        total = sum(len(r) for r in butterfly_rounds(n))
-        assert total == n * int(math.log2(n))
+        assert allreduce_butterfly(n, 8).total_messages == n * int(math.log2(n))
 
 
 class TestTreeBaseline:
     def test_tree_matches_butterfly_value(self):
         vals = [float(i) * 0.5 for i in range(16)]
         bf, _ = butterfly_global_sum(vals)
-        tr, rounds = tree_reduce_broadcast(vals)
-        assert tr[0] == pytest.approx(bf[0])
-        assert rounds == 8  # 2 log2 16: twice the butterfly's latency
+        tree = allreduce_tree(16, 8)
+        assert run_schedule(tree, vals)[0][0] == pytest.approx(bf[0])
+        # 2 log2 16: twice the butterfly's latency
+        assert tree.n_rounds == 8 == 2 * allreduce_butterfly(16, 8).n_rounds
 
     def test_tree_bitwise_matches_butterfly_non_pow2(self):
         rng = np.random.default_rng(3)
         for n in (5, 11, 16):
             vals = rng.standard_normal(n).tolist()
             bf, _ = butterfly_global_sum(vals)
-            tr, _ = tree_reduce_broadcast(vals)
-            assert tr[0].hex() == bf[0].hex()
+            tr = run_schedule(allreduce_tree(n, 8), vals)
+            assert tr[0][0].hex() == bf[0].hex()
 
 
 class TestGlobalSummer:
@@ -116,7 +122,8 @@ class TestGlobalSummer:
         vals = [float(i) for i in range(16)]
         assert gs(vals) == pytest.approx(sum(vals))
         assert gs.n_nodes == 8
-        assert gs.message_count() == 8 * 3
+        # only the SMP masters enter the fabric butterfly
+        assert allreduce_butterfly(gs.n_nodes, 8).total_messages == 8 * 3
 
     def test_wrong_length_rejected(self):
         gs = GlobalSummer(8)
@@ -132,7 +139,7 @@ class TestGlobalSummer:
         vals = [float(i) for i in range(6)]
         assert gs(vals) == pytest.approx(sum(vals))
         # fold messages: m log2 m + 2 extras = 4*2 + 2*2
-        assert gs.message_count() == 12
+        assert allreduce_butterfly(gs.n_nodes, 8).total_messages == 12
 
     def test_auto_algorithm_exposes_plan(self):
         gs = GlobalSummer(16, algorithm="auto")
@@ -171,23 +178,32 @@ class TestDESGlobalSum:
         slope3 = ts[3] - ts[2]
         assert slope3 == pytest.approx(slope1, rel=0.35)
 
-    def test_fig8_partials_on_wire(self):
-        cl = HyadesCluster()
-        record = []
-        vals = [float(i) for i in range(8)]
-        des_global_sum(cl, vals, record=record)
-        by_round_node = {(i, r): v for i, r, v in record}
-        assert by_round_node[(0, 0)] == vals[0] + vals[1]
-        assert by_round_node[(2, 5)] == sum(vals)
-
     def test_barrier_is_a_dataless_gsum(self):
         cl = HyadesCluster()
         t = des_barrier(cl, 16)
         assert t == pytest.approx(self.paper[16], rel=0.10)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            des_global_sum(HyadesCluster(), [1.0] * 3)
+    @pytest.mark.parametrize("n", [3, 5, 6, 12])
+    def test_any_node_count(self, n):
+        """Non-power-of-two counts fold: the value is bitwise the
+        canonical fold, the time is the butterfly schedule's."""
+        vals = np.random.default_rng(n).standard_normal(n).tolist()
+        res, t = des_global_sum(HyadesCluster(), vals)
+        assert [v.hex() for v in res] == [canonical_fold_reduce(vals).hex()] * n
+        assert t == des_time_schedule(HyadesCluster(), allreduce_butterfly(n, 8))
+
+    @pytest.mark.parametrize(
+        "n, elapsed, events",
+        [(16, 1.688e-05, 1936), (256, 3.4473333333333294e-05, 94464)],
+    )
+    def test_elapsed_and_events_pinned(self, n, elapsed, events):
+        """Virtual time and engine work of the butterfly: the values the
+        dedicated power-of-two executor produced, which the schedule
+        executor must reproduce exactly."""
+        cl = HyadesCluster(HyadesConfig(n_nodes=n))
+        _, t = des_global_sum(cl, [1.0] * n)
+        assert t == pytest.approx(elapsed, rel=1e-12)
+        assert cl.engine.events_executed == events
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=64))
