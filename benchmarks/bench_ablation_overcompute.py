@@ -39,10 +39,10 @@ def compare(cost_model, nz=10, n_ranks=16):
     thin = Decomposition(128, 64, 4, 4, olx=1)
     mix = cost_model.name == "Arctic"
     t_once = FIELDS * cost_model.exchange_time(
-        deep.edge_bytes(nz=nz, rank=5), mixmode=mix, n_ranks=n_ranks
+        deep.critical_edge_bytes(nz=nz), mixmode=mix, n_ranks=n_ranks
     )
     t_per_pass = PASSES * FIELDS * cost_model.exchange_time(
-        thin.edge_bytes(nz=nz, rank=5), mixmode=mix, n_ranks=n_ranks
+        thin.critical_edge_bytes(nz=nz), mixmode=mix, n_ranks=n_ranks
     )
     # redundant compute, upper bound: every PS flop recomputed over the
     # full wide-halo ring each pass (real kernels recompute far less)

@@ -21,7 +21,7 @@ from _tables import emit, format_table, us
 def exchange_mixmode_comparison(nz=10):
     cm = arctic_cost_model()
     d = Decomposition(128, 64, 4, 4, olx=3)
-    edges = d.edge_bytes(nz=nz, rank=5)
+    edges = d.critical_edge_bytes(nz=nz)
     return {
         "single": cm.exchange_time(edges, mixmode=False),
         "mixmode": cm.exchange_time(edges, mixmode=True),
@@ -39,8 +39,7 @@ def ds_placement_comparison():
         ("masters", masters, 8, True, 1024),
         ("all ranks", allranks, 8, True, 512),
     ):
-        rank = max(range(d.n_ranks), key=lambda r: sum(d.edge_bytes(nz=1, width=1, rank=r)))
-        texch = cm.exchange_time(d.edge_bytes(nz=1, width=1, rank=rank))
+        texch = cm.exchange_time(d.critical_edge_bytes(nz=1, width=1))
         tg = cm.gsum_time(n_gsum, smp=smp)
         tcomp = 36 * nxy / 60e6
         out[name] = {"texch": texch, "tgsum": tg, "tcomp": tcomp,

@@ -29,11 +29,7 @@ from _tables import emit, format_table, us
 
 def comm_cost(px, py, nz=10):
     cm = arctic_cost_model()
-    d = Decomposition(128, 64, px, py, olx=3)
-    interior = max(
-        range(d.n_ranks), key=lambda r: sum(d.edge_bytes(nz=nz, rank=r))
-    )
-    edges = d.edge_bytes(nz=nz, rank=interior)
+    edges = Decomposition(128, 64, px, py, olx=3).critical_edge_bytes(nz=nz)
     return cm.exchange_time(edges, mixmode=True), sum(edges), sum(1 for e in edges if e)
 
 

@@ -37,12 +37,12 @@ def des_replay_step(nz=8, ni=20, n_nodes=4):
     """
     d = Decomposition(64, 32, 2, 2, olx=3)
     elapsed = 0.0
-    edges3 = d.edge_bytes(nz=nz, rank=3)
+    edges3 = d.critical_edge_bytes(nz=nz)
     for _field in range(5):
         for nbytes in edges3:
             if nbytes:
                 elapsed += des_exchange(HyadesCluster(), 0, 1, nbytes)
-    edges2 = d.edge_bytes(nz=1, width=1, rank=3)
+    edges2 = d.critical_edge_bytes(nz=1, width=1)
     for _it in range(ni):
         for _field in range(2):
             for nbytes in edges2:
@@ -60,8 +60,8 @@ def bsp_charge(nz=8, ni=20, n_nodes=4, include_pack=True):
     if not include_pack:
         cm = dataclasses.replace(cm, copy_bandwidth=None)
     d = Decomposition(64, 32, 2, 2, olx=3)
-    edges3 = d.edge_bytes(nz=nz, rank=3)
-    edges2 = d.edge_bytes(nz=1, width=1, rank=3)
+    edges3 = d.critical_edge_bytes(nz=nz)
+    edges2 = d.critical_edge_bytes(nz=1, width=1)
     t = 5 * cm.exchange_time(edges3, mixmode=False)
     t += ni * (2 * cm.exchange_time(edges2, mixmode=False) + 2 * cm.gsum_time(n_nodes))
     return t

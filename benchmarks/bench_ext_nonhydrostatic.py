@@ -23,7 +23,7 @@ def nh_comm_times(cost_model, nz=30, n_ranks=16):
     d = Decomposition(128, 64, 4, 4, olx=3)
     mix = cost_model.name == "Arctic"
     texch = cost_model.exchange_time(
-        d.edge_bytes(nz=nz, width=1, rank=5), mixmode=mix, n_ranks=n_ranks
+        d.critical_edge_bytes(nz=nz, width=1), mixmode=mix, n_ranks=n_ranks
     )
     n_g = 8 if cost_model.name == "Arctic" else 16
     tg = cost_model.gsum_time(n_g, smp=mix)

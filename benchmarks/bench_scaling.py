@@ -9,6 +9,7 @@ become viable, per the "coarse grain scenarios" remark).
 
 import pytest
 
+from repro.backend import AnalyticBackend
 from repro.core.scaling import cpu_sweep, model_at, resolution_sweep
 from repro.network.costmodel import (
     arctic_cost_model,
@@ -19,6 +20,11 @@ from repro.network.costmodel import (
 from _tables import emit, format_table
 
 
+def priced(cost_model):
+    """The measured-table pricing of ``cost_model`` as a backend."""
+    return AnalyticBackend(model=cost_model, calibrated=False)
+
+
 def test_bench_cpu_scaling_per_interconnect(benchmark):
     models = {
         "Arctic": arctic_cost_model(),
@@ -27,7 +33,7 @@ def test_bench_cpu_scaling_per_interconnect(benchmark):
     }
     counts = (1, 2, 4, 8, 16, 32, 64)
     sweeps = benchmark.pedantic(
-        lambda: {n: cpu_sweep(counts, cost_model=m) for n, m in models.items()},
+        lambda: {n: cpu_sweep(counts, backend=priced(m)) for n, m in models.items()},
         rounds=1,
         iterations=1,
     )
@@ -63,11 +69,11 @@ def test_bench_resolution_crossover(benchmark):
     efficiency recovers with problem size (the 'coarse grain' regime),
     while Arctic is already compute-bound at the paper's resolution."""
     ge = benchmark.pedantic(
-        lambda: resolution_sweep((1, 2, 4), cost_model=gigabit_ethernet_cost_model()),
+        lambda: resolution_sweep((1, 2, 4), backend=priced(gigabit_ethernet_cost_model())),
         rounds=1,
         iterations=1,
     )
-    arctic = resolution_sweep((1, 2, 4), cost_model=arctic_cost_model())
+    arctic = resolution_sweep((1, 2, 4), backend=priced(arctic_cost_model()))
     rows = []
     for a, g in zip(arctic, ge):
         rows.append(
@@ -102,7 +108,7 @@ def test_bench_ds_dominates_at_scale(benchmark):
     def shares():
         out = []
         for n in (4, 16, 64):
-            p = model_at(n, cost_model=arctic_cost_model())
+            p = model_at(n, backend=priced(arctic_cost_model()))
             step = p.tps + 60 * p.tds
             out.append((n, 60 * p.tds / step))
         return out

@@ -42,9 +42,8 @@ def ocean_1deg_century_time(dt=3600.0, ni=VALIDATION.ni):
     ds = Decomposition(nx, ny, 2, 4, olx=1)
     nxyz = nx * ny * nz // 16
     nxy = nx * ny // 8
-    texchxyz = cm.exchange_time(d.edge_bytes(nz=nz, rank=5), mixmode=True)
-    ds_rank = max(range(8), key=lambda r: sum(ds.edge_bytes(nz=1, width=1, rank=r)))
-    texchxy = cm.exchange_time(ds.edge_bytes(nz=1, width=1, rank=ds_rank))
+    texchxyz = cm.exchange_time(d.critical_edge_bytes(nz=nz), mixmode=True)
+    texchxy = cm.exchange_time(ds.critical_edge_bytes(nz=1, width=1))
     pm = PerformanceModel(
         ps=PSPhaseParams(751, nxyz, texchxyz, 50e6),
         ds=DSPhaseParams(36, nxy, cm.gsum_time(8, smp=True), texchxy, 60e6),

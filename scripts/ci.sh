@@ -76,7 +76,12 @@ python -m pytest -q -p no:cacheprovider --benchmark-disable \
   benchmarks/bench_backend.py \
   benchmarks/bench_straggler.py \
   benchmarks/bench_topology_pfpp.py \
-  benchmarks/bench_precision.py
+  benchmarks/bench_precision.py \
+  benchmarks/bench_fig11_params.py \
+  benchmarks/bench_fig12_pfpp.py \
+  benchmarks/bench_scaling.py \
+  benchmarks/bench_ext_nonhydrostatic.py \
+  benchmarks/bench_ablation_tile_shape.py
 
 python - <<'PY'
 from repro.obs.bench import read_bench

@@ -36,16 +36,6 @@ REF_NZ = 10
 SWEEP_N_VALUES = (16, 64, 256, 1024, 4096)
 
 
-def square_process_grid(n_nodes: int) -> tuple[int, int]:
-    """Nearest-to-square ``px x py`` factorisation of a power-of-two N."""
-    if n_nodes < 1 or n_nodes & (n_nodes - 1):
-        raise ValueError(f"sweep node counts must be powers of two, got {n_nodes}")
-    px = 1
-    while px * px < n_nodes:
-        px <<= 1
-    return px, n_nodes // px
-
-
 def sweep_point(
     n_nodes: int,
     backend=None,
@@ -57,7 +47,7 @@ def sweep_point(
     """Evaluate one weak-scaled configuration at ``n_nodes`` processors.
 
     The global grid is the reference tile replicated over the
-    nearest-to-square process grid, so per-processor work is constant
+    reference (near-square) process grid, so per-processor work is constant
     and the interconnect terms carry all the N-dependence: the 3-D halo
     exchange (texchxyz), the 2-D width-1 exchange (texchxy) and the
     N-way global sum (tgsum) are quoted from ``backend``, then fed to
@@ -68,24 +58,18 @@ def sweep_point(
     # imported lazily: repro.core.pfpp itself reaches back into the
     # backend package for its large-N tables
     from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS
-    from repro.core.pfpp import pfpp_ds, pfpp_ps
+    from repro.core.pfpp import pfpp_ds, pfpp_ps, reference_process_grid
 
     be: CommBackend = resolve_backend(backend) if not isinstance(
         backend, CommBackend
     ) else backend
-    px, py = square_process_grid(n_nodes)
+    px, py = reference_process_grid(n_nodes)
     tnx, tny = tile
     t0 = time.perf_counter()
     decomp = Decomposition(tnx * px, tny * py, px, py, olx=1)
-    rank = max(
-        range(decomp.n_ranks),
-        key=lambda r: sum(decomp.edge_bytes(nz=nz, rank=r)),
-    )
-    texchxyz = be.exchange_time(
-        decomp.edge_bytes(nz=nz, rank=rank), n_ranks=n_nodes
-    )
+    texchxyz = be.exchange_time(decomp.critical_edge_bytes(nz=nz), n_ranks=n_nodes)
     texchxy = be.exchange_time(
-        decomp.edge_bytes(nz=1, width=1, rank=rank), n_ranks=n_nodes
+        decomp.critical_edge_bytes(nz=1, width=1), n_ranks=n_nodes
     )
     tgsum = be.gsum_time(n_nodes)
     wall = time.perf_counter() - t0

@@ -69,35 +69,35 @@ def interconnect_comm_times(
     n_ranks: int = 16,
     n_smps: int = 8,
     mixmode: bool = True,
+    nz: int = 10,
 ) -> tuple[float, float, float]:
-    """(tgsum, texchxy, texchxyz) for the reference 2.8125-deg atmosphere.
+    """(tgsum, texchxy, texchxyz) for the reference 2.8125-deg grid.
 
-    Arctic uses the tailored primitives (hierarchical SMP global sum over
-    the masters, mix-mode exchange, DS on one tile per SMP); the
-    Ethernet baselines use MPI over all ranks (flat 16-way gsum, halo-1
-    2-D exchange on the PS tiles), matching how the paper measured each.
+    ``nz`` is the PS column depth behind texchxyz: 10 levels for the
+    atmosphere, 30 for the ocean (Fig. 11).  Arctic uses the tailored
+    primitives (hierarchical SMP global sum over the masters, mix-mode
+    exchange, DS on one tile per SMP); the Ethernet baselines use MPI
+    over all ranks (flat 16-way gsum, halo-1 2-D exchange on the PS
+    tiles), matching how the paper measured each.  Exchanges are priced
+    at each decomposition's critical rank.
     """
     ps_decomp = Decomposition(128, 64, 4, 4, olx=3)
     if model.name == "Arctic":
         tgsum = model.gsum_time(n_smps, smp=mixmode)
         ds_decomp = Decomposition(128, 64, 2, 4, olx=1)
-        ds_rank = max(
-            range(ds_decomp.n_ranks),
-            key=lambda r: sum(ds_decomp.edge_bytes(nz=1, width=1, rank=r)),
-        )
         texchxy = model.exchange_time(
-            ds_decomp.edge_bytes(nz=1, width=1, rank=ds_rank), mixmode=False
+            ds_decomp.critical_edge_bytes(nz=1, width=1), mixmode=False
         )
         texchxyz = model.exchange_time(
-            ps_decomp.edge_bytes(nz=10, rank=5), mixmode=True
+            ps_decomp.critical_edge_bytes(nz=nz), mixmode=True
         )
     else:
         tgsum = model.gsum_time(n_ranks)
         texchxy = model.exchange_time(
-            ps_decomp.edge_bytes(nz=1, width=1, rank=5), n_ranks=n_ranks
+            ps_decomp.critical_edge_bytes(nz=1, width=1), n_ranks=n_ranks
         )
         texchxyz = model.exchange_time(
-            ps_decomp.edge_bytes(nz=10, rank=5), n_ranks=n_ranks
+            ps_decomp.critical_edge_bytes(nz=nz), n_ranks=n_ranks
         )
     return tgsum, texchxy, texchxyz
 
@@ -152,15 +152,6 @@ def fig12_table(
 
 # -- PFPP under the best-known collective (autotuned, large N) ------------
 
-#: Legacy node-count -> process grid table, kept as a compatibility
-#: alias; :func:`reference_process_grid` now derives the grid for any
-#: power-of-two rank count (these three entries are what it returns).
-BEST_COLLECTIVE_GRIDS: Mapping[int, tuple[int, int]] = {
-    16: (4, 4),
-    64: (8, 8),
-    256: (16, 16),
-}
-
 #: The reference 2.8125-degree atmosphere grid (Section 5).
 REFERENCE_NX, REFERENCE_NY = 128, 64
 
@@ -169,8 +160,9 @@ def reference_process_grid(n_ranks: int) -> tuple[int, int]:
     """The near-square power-of-two process grid for ``n_ranks``.
 
     ``px >= py`` (the atmosphere grid is wider than tall), with the two
-    extents within a factor of two — the layout the paper's fixed table
-    used at 16/64/256, generalized to any power-of-two rank count.
+    extents within a factor of two (4x4 at 16, 16x16 at 256).  The one
+    process-grid rule of the package: the PFPP tables, the large-N
+    sweep and the scaling study all tile with it.
     """
     if (
         not isinstance(n_ranks, int)
@@ -249,14 +241,8 @@ def best_collectives_table(
     rows = []
     for n in n_values:
         decomp, _scale = reference_decomposition(n)
-        worst = max(
-            range(decomp.n_ranks),
-            key=lambda r: sum(decomp.edge_bytes(nz=1, width=1, rank=r)),
-        )
-        texchxy = model.exchange_time(
-            decomp.edge_bytes(nz=1, width=1, rank=worst)
-        )
-        texchxyz = model.exchange_time(decomp.edge_bytes(nz=10, rank=worst))
+        texchxy = model.exchange_time(decomp.critical_edge_bytes(nz=1, width=1))
+        texchxyz = model.exchange_time(decomp.critical_edge_bytes(nz=10))
         plan = tuner.plan("allreduce", n, 8)
         rows.append(
             BestCollectiveRow(
@@ -339,12 +325,8 @@ def topology_scoreboard(
     rows = []
     for n in n_values:
         decomp, scale = reference_decomposition(n)
-        worst = max(
-            range(decomp.n_ranks),
-            key=lambda r: sum(decomp.edge_bytes(nz=1, width=1, rank=r)),
-        )
-        edges_xy = decomp.edge_bytes(nz=1, width=1, itemsize=itemsize, rank=worst)
-        edges_xyz = decomp.edge_bytes(nz=10, itemsize=itemsize, rank=worst)
+        edges_xy = decomp.critical_edge_bytes(nz=1, width=1, itemsize=itemsize)
+        edges_xyz = decomp.critical_edge_bytes(nz=10, itemsize=itemsize)
         for name in names:
             topo = make_topology(name, n)
             model = topo.cost_model()

@@ -171,12 +171,10 @@ def _fig11_section() -> ReportSection:
     from repro.core.constants import OCN_PS_PARAMS
     from repro.core.pfpp import interconnect_comm_times
     from repro.network.costmodel import arctic_cost_model
-    from repro.parallel.tiling import Decomposition
 
     cm = arctic_cost_model()
-    ps = Decomposition(128, 64, 4, 4, olx=3)
     tg, t2, t3_atm = interconnect_comm_times(cm)
-    t3_ocn = cm.exchange_time(ps.edge_bytes(nz=30, rank=5), mixmode=True)
+    t3_ocn = interconnect_comm_times(cm, nz=30)[2]
     rows = [
         ["texchxyz atmos (us)", f"{t3_atm / US:.0f}", f"{ATM_PS_PARAMS.texchxyz / US:.0f}"],
         ["texchxyz ocean (us)", f"{t3_ocn / US:.0f}", f"{OCN_PS_PARAMS.texchxyz / US:.0f}"],

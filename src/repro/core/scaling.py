@@ -13,11 +13,12 @@ the natural follow-up questions a reader of Section 5.4 asks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
+from repro.backend import resolve_backend
 from repro.core.constants import ATM_PS_PARAMS, DS_PARAMS
 from repro.core.perf_model import DSPhaseParams, PerformanceModel, PSPhaseParams
-from repro.network.costmodel import CommCostModel, arctic_cost_model
+from repro.core.pfpp import pfpp_ds, pfpp_ps, reference_process_grid
 from repro.parallel.tiling import Decomposition
 
 
@@ -37,21 +38,12 @@ class ScalingPoint:
     pfpp_ds: float
 
 
-def _proc_grid(n: int) -> tuple[int, int]:
-    """Near-square process grid for n CPUs (n a power of two)."""
-    px = 1
-    while px * px < n:
-        px *= 2
-    py = n // px
-    return (px, py) if px * py == n else (n, 1)
-
-
 def model_at(
     n_cpus: int,
     nx: int = 128,
     ny: int = 64,
     nz: int = 10,
-    cost_model: Optional[CommCostModel] = None,
+    backend=None,
     ni: float = 60.0,
     nps: float = ATM_PS_PARAMS.nps,
     nds: float = DS_PARAMS.nds,
@@ -61,17 +53,20 @@ def model_at(
 ) -> ScalingPoint:
     """Evaluate the performance model for one configuration.
 
-    Tiles follow a near-square process grid; two CPUs per SMP with DS
-    on the masters, mirroring the production mapping (Section 5).
-    Falls back to one CPU per node when the count is below one SMP.
+    ``backend`` prices the communication terms (a tier name or a
+    :class:`~repro.backend.CommBackend`; ``None`` is the measured-table
+    Arctic pricing).  Tiles follow the reference process grid
+    (:func:`~repro.core.pfpp.reference_process_grid`, so ``n_cpus``
+    must be a power of two); two CPUs per SMP with DS on the masters,
+    mirroring the production mapping (Section 5).  Falls back to one
+    CPU per node when the count is below one SMP.
     """
-    cm = cost_model or arctic_cost_model()
+    be = resolve_backend(backend)
     if n_cpus == 1:
         ps = PSPhaseParams(nps, nx * ny * nz, 0.0, fps)
         ds = DSPhaseParams(nds, nx * ny, 0.0, 0.0, fds)
         pm = PerformanceModel(ps, ds)
         rate = pm.flops_per_step(ni) / (pm.tps_compute + ni * pm.tds_compute)
-        blended = rate
         return ScalingPoint(
             1, nx, ny, nz, rate, 1.0, pm.tps_compute, pm.tds_compute, float("inf"), float("inf")
         )
@@ -79,34 +74,30 @@ def model_at(
     if n_cpus % cpus_per_node:
         cpus_per_node = 1
     n_smps = n_cpus // cpus_per_node
-    px, py = _proc_grid(n_cpus)
+    px, py = reference_process_grid(n_cpus)
     if nx % px or ny % py:
         raise ValueError(f"grid {nx}x{ny} not tileable over {n_cpus} CPUs")
     olx = min(3, nx // px, ny // py)
     d = Decomposition(nx, ny, px, py, olx=olx)
-    interior = min(
-        range(d.n_ranks),
-        key=lambda r: -sum(d.edge_bytes(nz=nz, rank=r)),
-    )
-    mix = cpus_per_node > 1 and cm.name == "Arctic"
-    texchxyz = cm.exchange_time(
-        d.edge_bytes(nz=nz, rank=interior), mixmode=mix, n_ranks=n_cpus
+    arctic = be.model.name == "Arctic"
+    mix = cpus_per_node > 1 and arctic
+    texchxyz = be.exchange_time(
+        d.critical_edge_bytes(nz=nz), mixmode=mix, n_ranks=n_cpus
     )
 
-    dpx, dpy = _proc_grid(n_smps)
-    if cm.name == "Arctic" and nx % dpx == 0 and ny % dpy == 0 and min(nx // dpx, ny // dpy) >= 1:
+    dpx, dpy = reference_process_grid(n_smps)
+    if arctic and nx % dpx == 0 and ny % dpy == 0:
         ds_d = Decomposition(nx, ny, dpx, dpy, olx=1)
-        ds_rank = min(range(ds_d.n_ranks), key=lambda r: -sum(ds_d.edge_bytes(nz=1, width=1, rank=r)))
-        texchxy = cm.exchange_time(ds_d.edge_bytes(nz=1, width=1, rank=ds_rank))
+        texchxy = be.exchange_time(ds_d.critical_edge_bytes(nz=1, width=1))
         nxy = nx * ny // n_smps
-        tg = cm.gsum_time(n_smps, smp=mix)
+        tg = be.gsum_time(n_smps, smp=mix)
         n_ds_ranks = n_smps
     else:
-        texchxy = cm.exchange_time(
-            d.edge_bytes(nz=1, width=1, rank=interior), n_ranks=n_cpus
+        texchxy = be.exchange_time(
+            d.critical_edge_bytes(nz=1, width=1), n_ranks=n_cpus
         )
         nxy = nx * ny // n_cpus
-        tg = cm.gsum_time(n_cpus)
+        tg = be.gsum_time(n_cpus)
         n_ds_ranks = n_cpus
 
     nxyz = nx * ny * nz // n_cpus
@@ -115,9 +106,7 @@ def model_at(
         DSPhaseParams(nds, nxy, tg, texchxy, fds),
     )
     sustained = pm.sustained_flops(ni, n_ps_ranks=n_cpus, n_ds_ranks=n_ds_ranks)
-    single = model_at(1, nx, ny, nz, cm, ni, nps, nds, fps, fds).sustained
-    from repro.core.pfpp import pfpp_ds, pfpp_ps
-
+    single = model_at(1, nx, ny, nz, be, ni, nps, nds, fps, fds).sustained
     return ScalingPoint(
         n_cpus,
         nx,
@@ -134,24 +123,24 @@ def model_at(
 
 def cpu_sweep(
     counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-    cost_model: Optional[CommCostModel] = None,
+    backend=None,
     **kw,
 ) -> list[ScalingPoint]:
     """Sustained performance vs processor count at fixed resolution."""
-    return [model_at(n, cost_model=cost_model, **kw) for n in counts]
+    be = resolve_backend(backend)
+    return [model_at(n, backend=be, **kw) for n in counts]
 
 
 def resolution_sweep(
     factors: Sequence[int] = (1, 2, 4),
     n_cpus: int = 16,
-    cost_model: Optional[CommCostModel] = None,
+    backend=None,
     **kw,
 ) -> list[ScalingPoint]:
     """Sustained performance vs resolution (grid refined by ``factor``)
     at a fixed machine size — the grain-size axis of Fig. 12."""
-    out = []
-    for f in factors:
-        out.append(
-            model_at(n_cpus, nx=128 * f, ny=64 * f, nz=10, cost_model=cost_model, **kw)
-        )
-    return out
+    be = resolve_backend(backend)
+    return [
+        model_at(n_cpus, nx=128 * f, ny=64 * f, nz=10, backend=be, **kw)
+        for f in factors
+    ]

@@ -76,10 +76,22 @@ class CoupledModel:
 
     def exchange_boundary_conditions(self) -> None:
         """One coupling event: swap surface fields between components."""
+        self._couple()
+        tr = obs_trace.TRACER
+        if tr is not None:
+            tr.instant(
+                "coupler", "events", "couple", self.elapsed, cat="coupler",
+                args={"coupling": self.couplings},
+            )
+
+    def _couple(self) -> None:
+        """The bulk formula: SST to the atmosphere; wind stress (from the
+        lowest-level winds) and surface air temperature to the ocean.
+        Each field is scattered onto the receiver's tiles and its halos
+        filled by :meth:`_fill_halos`."""
         # ocean -> atmosphere: SST
-        sst = self.ocean.surface_temperature()
-        sst_tiles = self._hx_atm.scatter_global(sst)
-        exchange_halos(self.atmosphere.decomp, sst_tiles)
+        sst_tiles = self._hx_atm.scatter_global(self.ocean.surface_temperature())
+        self._fill_halos(self.atmosphere, sst_tiles)
         self.atmosphere.coupling["sst"] = sst_tiles
 
         # atmosphere -> ocean: wind stress from lowest-level winds
@@ -93,15 +105,14 @@ class CoupledModel:
         tsurf = self.atmosphere.surface_temperature()
         for name, g in (("taux", taux), ("tauy", tauy), ("theta_surf", tsurf)):
             tiles = self._hx_ocn.scatter_global(g)
-            exchange_halos(self.ocean.decomp, tiles)
+            self._fill_halos(self.ocean, tiles)
             self.ocean.coupling[name] = tiles
         self.couplings += 1
-        tr = obs_trace.TRACER
-        if tr is not None:
-            tr.instant(
-                "coupler", "events", "couple", self.elapsed, cat="coupler",
-                args={"coupling": self.couplings},
-            )
+
+    def _fill_halos(self, model: Model, tiles) -> None:
+        """Halo fill of one coupling field on ``model``'s tiles (shared
+        memory: no virtual time)."""
+        exchange_halos(model.decomp, tiles)
 
     def step_coupled(self, faulted: bool = False) -> None:
         """Advance both components one coupling window, then couple.
@@ -218,34 +229,21 @@ class DESCoupledModel(CoupledModel):
 
     def exchange_boundary_conditions(self) -> None:
         """One coupling event with the halo fills on the wire."""
-        tr = obs_trace.TRACER
         t0 = self.cluster.engine.now
-        # ocean -> atmosphere: SST
-        sst = self.ocean.surface_temperature()
-        sst_tiles = self._hx_atm.scatter_global(sst)
-        self.des_elapsed += self._des_atm.exchange(sst_tiles)
-        self.atmosphere.coupling["sst"] = sst_tiles
-
-        # atmosphere -> ocean: wind stress from lowest-level winds
-        ks = self.atmosphere.grid.nz - 1
-        ua = self.atmosphere.state.to_global("u")[ks]
-        va = self.atmosphere.state.to_global("v")[ks]
-        speed = np.sqrt(ua**2 + va**2)
-        rho_cd = self.params.air_density * self.params.drag_coeff
-        taux = rho_cd * speed * ua
-        tauy = rho_cd * speed * va
-        tsurf = self.atmosphere.surface_temperature()
-        for name, g in (("taux", taux), ("tauy", tauy), ("theta_surf", tsurf)):
-            tiles = self._hx_ocn.scatter_global(g)
-            self.des_elapsed += self._des_ocn.exchange(tiles)
-            self.ocean.coupling[name] = tiles
-        self.couplings += 1
+        self._couple()
+        tr = obs_trace.TRACER
         if tr is not None:
             tr.complete(
                 "coupler", "wire", "couple",
                 t0, self.cluster.engine.now, cat="coupler",
                 args={"coupling": self.couplings, "des_elapsed_s": self.des_elapsed},
             )
+
+    def _fill_halos(self, model: Model, tiles) -> None:
+        """Halo fill through the DES cluster; wire time accrues in
+        :attr:`des_elapsed`."""
+        ex = self._des_atm if model is self.atmosphere else self._des_ocn
+        self.des_elapsed += ex.exchange(tiles)
 
     # -- self-healing run loop -------------------------------------------
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gcm import operators as op
 from repro.gcm.operators import FlopCounter
-from repro.gcm.pressure import EllipticOperator
 from repro.gcm.timestepper import Model
+from repro.parallel.exchange import exchange_halos
 
 
 def depth_integrated_divergence(model: Model) -> float:
@@ -16,23 +17,17 @@ def depth_integrated_divergence(model: Model) -> float:
     non-divergent (eq. 2) to solver tolerance.
     """
     fc = FlopCounter()
-    ell = EllipticOperator(model.grid) if model.ds_grid is not model.grid else model.elliptic
-    uints, vints = [], []
-    from repro.parallel.exchange import exchange_halos
-
+    grid = model.grid
     u_t = [a.copy() for a in model.state["u"]]
     v_t = [a.copy() for a in model.state["v"]]
     exchange_halos(model.decomp, u_t)
     exchange_halos(model.decomp, v_t)
-    for r in range(model.decomp.n_ranks):
-        ui, vi = ell.depth_integrate(r, u_t[r], v_t[r], fc)
-        uints.append(ui)
-        vints.append(vi)
-    divs = ell.divergence(uints, vints)
     o = model.decomp.olx
     worst = 0.0
     for r, t in enumerate(model.decomp.tiles):
-        worst = max(worst, float(np.abs(divs[r][o : o + t.ny, o : o + t.nx]).max()))
+        ui, vi = op.depth_integrate(u_t[r], v_t[r], grid, r, fc)
+        div = op.column_flux_divergence(ui, vi, grid, r) * (grid.depth_c[r] > 0)
+        worst = max(worst, float(np.abs(div[o : o + t.ny, o : o + t.nx]).max()))
     return worst
 
 

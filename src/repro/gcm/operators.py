@@ -134,6 +134,23 @@ def w_from_flux(wflux, grid, rank, flops: FlopCounter):
     return w
 
 
+# -- depth-integrated (barotropic) flow -------------------------------------
+
+
+def depth_integrate(u, v, grid, rank, flops: FlopCounter):
+    """<u> = sum_k u hFacW drF, likewise <v> (m^2/s); ~4 flops/cell."""
+    drf = grid.drf[:, None, None]
+    ui = np.sum(u * grid.hfac_w[rank] * drf, axis=0)
+    vi = np.sum(v * grid.hfac_s[rank] * drf, axis=0)
+    flops.add("depth_integrate", 4 * u.size)
+    return ui, vi
+
+
+def column_flux_divergence(ui, vi, grid, rank):
+    """Volume-flux divergence (m^3/s) of a depth-integrated flow."""
+    return face_divergence(ui * grid.dyg[rank], vi * grid.dxg[rank])
+
+
 # -- tracer advection/diffusion ---------------------------------------------
 
 

@@ -123,29 +123,8 @@ class EllipticOperator:
         """
         out = []
         for r, (ui, vi) in enumerate(zip(uint_tiles, vint_tiles)):
-            fx = ui * self.grid.dyg[r]
-            fy = vi * self.grid.dxg[r]
-            div = (op.xp(fx) - fx) + (op.yp(fy) - fy)
+            div = op.column_flux_divergence(ui, vi, self.grid, r)
             rhs = np.where(self.wet[r], div / dt, 0.0)
             out.append(rhs)
             flops.add("elliptic_rhs", 8 * ui.size)
-        return out
-
-    def depth_integrate(
-        self, rank: int, u: np.ndarray, v: np.ndarray, flops: FlopCounter
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """<u> = sum_k u hFacW drF (m^2/s); ~4 flops/cell."""
-        drf = self.grid.drf[:, None, None]
-        ui = np.sum(u * self.grid.hfac_w[rank] * drf, axis=0)
-        vi = np.sum(v * self.grid.hfac_s[rank] * drf, axis=0)
-        flops.add("depth_integrate", 4 * u.size)
-        return ui, vi
-
-    def divergence(self, uint_tiles, vint_tiles) -> List[np.ndarray]:
-        """Volume-flux divergence (m^3/s) of a depth-integrated flow."""
-        out = []
-        for r, (ui, vi) in enumerate(zip(uint_tiles, vint_tiles)):
-            fx = ui * self.grid.dyg[r]
-            fy = vi * self.grid.dxg[r]
-            out.append(((op.xp(fx) - fx) + (op.yp(fy) - fy)) * self.wet[r])
         return out

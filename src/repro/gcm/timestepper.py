@@ -92,10 +92,15 @@ class ModelConfig:
             raise ValueError("process grid must be positive")
         if self.cpus_per_node < 1:
             raise ValueError("cpus_per_node must be >= 1")
+        if (self.ds_px is None) != (self.ds_py is None):
+            raise ValueError(
+                f"set both ds_px and ds_py or neither, got "
+                f"ds_px={self.ds_px}, ds_py={self.ds_py}"
+            )
 
     def resolve_ds_shape(self) -> tuple[int, int]:
         """DS tiles default to pairing the two PS tiles of each SMP."""
-        if self.ds_px is not None and self.ds_py is not None:
+        if self.ds_px is not None:
             return self.ds_px, self.ds_py
         if self.cpus_per_node > 1 and self.px % self.cpus_per_node == 0:
             return self.px // self.cpus_per_node, self.py
@@ -284,7 +289,6 @@ class Model:
         stats.cg_residual = cg_res.residual
         stats.cg_converged = cg_res.converged
         stats.flops_ds = ds_counter.total
-        self._charge_ds(cg_res, ds_counter)
         t_after_ds = rt.elapsed
 
         # ---- correction + tracer step -----------------------------------
@@ -376,13 +380,12 @@ class Model:
         return gsum_hook, exch_hook
 
     def _solve_surface_pressure(self, u_star_t, v_star_t) -> tuple[CGResult, FlopCounter]:
-        """Assemble RHS on the DS decomposition and run the PCG."""
+        """Assemble the RHS on the DS decomposition, solve and charge."""
         fc = FlopCounter()
-        # depth-integrate on the PS tiles (3-D work, charged to PS ranks
-        # via the returned counter split in _charge_ds)
+        # depth-integrate on the PS tiles
         uints, vints = [], []
         for r in range(self.decomp.n_ranks):
-            ui, vi = self.elliptic_ps_integrate(r, u_star_t[r], v_star_t[r], fc)
+            ui, vi = op.depth_integrate(u_star_t[r], v_star_t[r], self.grid, r, fc)
             uints.append(ui)
             vints.append(vi)
         # regrid PS -> DS through shared memory
@@ -393,11 +396,74 @@ class Model:
         exchange_halos(self.ds_decomp, ds_ui, width=1, wire_dtype=self._solver_wire)
         exchange_halos(self.ds_decomp, ds_vi, width=1, wire_dtype=self._solver_wire)
         rhs = self.elliptic.rhs_from_transport(ds_ui, ds_vi, self.config.dt, fc)
-        operator = self.elliptic
+
+        def to_ps(x):
+            # regrid solution DS -> PS and refresh halos (shared memory)
+            ps_tiles = self._hx_ps.scatter_global(self._hx_ds.gather_global(x))
+            exchange_halos(self.decomp, ps_tiles)
+            for r in range(self.decomp.n_ranks):
+                self.state["ps"][r][...] = ps_tiles[r]
+
+        result = self._solve_and_charge(
+            self.elliptic, rhs, fc, to_ps,
+            self.ds_decomp, nz=1, mixmode=False, n_ranks=1, phase="ds",
+        )
+        return result, fc
+
+    def _solve_nonhydrostatic(self, stats: StepStats) -> None:
+        """3-D Poisson projection of (u, v, w) to non-divergence.
+
+        Same communication structure as DS — one two-field halo-1
+        exchange and two global sums per iteration — but over 3-D
+        fields on the PS decomposition.
+        """
+        cfg = self.config
+        rt = self.runtime
+        fc = FlopCounter()
+        u, v, w = self.state["u"], self.state["v"], self.state["w"]
+        for name, f in (("u", u), ("v", v), ("w", w)):
+            exchange_halos(
+                self.decomp, f, width=1,
+                wire_dtype=self.precision.exchange_wire_dtype(name),
+            )
+        rhs = self.nh_operator.rhs_from_velocity(u, v, w, cfg.dt, fc)
+
+        def project(x):
+            for r in range(self.decomp.n_ranks):
+                u2, v2, w2 = self.nh_operator.correct(
+                    r, u[r], v[r], w[r], x[r], cfg.dt, fc
+                )
+                u[r][...] = u2
+                v[r][...] = v2
+                w[r][...] = w2
+
+        result = self._solve_and_charge(
+            self.nh_operator, rhs, fc, project,
+            self.decomp, nz=self.grid.nz, mixmode=rt.mixmode,
+            n_ranks=rt.n_ranks, phase="nh",
+        )
+        stats.ni_nh = result.iterations
+        stats.flops_nh = fc.total
+        stats.nh_converged = result.converged
+
+    def _solve_and_charge(
+        self, operator, rhs, fc, use_solution, decomp, nz, mixmode, n_ranks, phase
+    ) -> CGResult:
+        """One preconditioned CG solve on ``decomp``, then its charge.
+
+        The solve runs at the precision config's CG dtype with its
+        solver hooks; ``use_solution(x)`` applies the answer (its flops
+        in ``fc`` belong to the phase).  The solve is globally
+        synchronous, so its cost is charged uniformly in one go:
+        ``ni x (compute + 2 texch + 2 tgsum)`` — per iteration the
+        per-tile share of ``fc`` at Fds, one two-field width-1 exchange
+        of ``nz`` levels at the critical rank, and two global sums
+        (Sections 4, 5.2).
+        """
         if self._cg_dtype == np.float32:
-            operator = CastingOperator(self.elliptic, self._cg_dtype)
+            operator = CastingOperator(operator, self._cg_dtype)
             rhs = [b.astype(self._cg_dtype) for b in rhs]
-        gsum_hook, exch_hook = self._cg_hooks(self.ds_decomp)
+        gsum_hook, exch_hook = self._cg_hooks(decomp)
         result = preconditioned_cg(
             operator,
             rhs,
@@ -407,119 +473,28 @@ class Model:
             global_sum=gsum_hook,
             exchange=exch_hook,
         )
-        # regrid solution DS -> PS and refresh halos (shared memory)
-        g_ps = self._hx_ds.gather_global(result.x)
-        ps_tiles = self._hx_ps.scatter_global(g_ps)
-        exchange_halos(self.decomp, ps_tiles)
-        for r in range(self.decomp.n_ranks):
-            self.state["ps"][r][...] = ps_tiles[r]
-        return result, fc
+        use_solution(result.x)
 
-    def elliptic_ps_integrate(self, rank, u_star, v_star, fc):
-        """Depth-integrate provisional velocities on a PS tile (m^2/s)."""
-        drf = self.grid.drf[:, None, None]
-        ui = np.sum(u_star * self.grid.hfac_w[rank] * drf, axis=0)
-        vi = np.sum(v_star * self.grid.hfac_s[rank] * drf, axis=0)
-        fc.add("depth_integrate", 4 * u_star.size)
-        return ui, vi
-
-    def _solve_nonhydrostatic(self, stats: StepStats) -> None:
-        """3-D Poisson projection of (u, v, w) to non-divergence.
-
-        Same communication structure as DS — one two-field halo-1
-        exchange and two global sums per iteration — but over 3-D
-        fields on the PS decomposition.
-        """
-        from repro.gcm.cg import preconditioned_cg as pcg
-
-        cfg = self.config
-        st = self.state
-        fc = FlopCounter()
-        u, v, w = st["u"], st["v"], st["w"]
-        prec = self.precision
-        for name, f in (("u", u), ("v", v), ("w", w)):
-            exchange_halos(
-                self.decomp, f, width=1, wire_dtype=prec.exchange_wire_dtype(name)
-            )
-        rhs = self.nh_operator.rhs_from_velocity(u, v, w, cfg.dt, fc)
-        operator = self.nh_operator
-        if self._cg_dtype == np.float32:
-            operator = CastingOperator(self.nh_operator, self._cg_dtype)
-            rhs = [b.astype(self._cg_dtype) for b in rhs]
-        gsum_hook, exch_hook = self._cg_hooks(self.decomp)
-        result = pcg(
-            operator, rhs, fc, tol=cfg.cg_tol, maxiter=cfg.cg_maxiter,
-            global_sum=gsum_hook, exchange=exch_hook,
-        )
-        for r in range(self.decomp.n_ranks):
-            u2, v2, w2 = self.nh_operator.correct(
-                r, u[r], v[r], w[r], result.x[r], cfg.dt, fc
-            )
-            u[r][...] = u2
-            v[r][...] = v2
-            w[r][...] = w2
-        stats.ni_nh = result.iterations
-        stats.flops_nh = fc.total
-        stats.nh_converged = result.converged
-
-        # charge: per iteration one 2-field 3-D halo-1 exchange + 2 gsums
         rt = self.runtime
         be = rt.backend
         ni = max(result.iterations, 1)
-        per_iter = fc.total / ni / self.decomp.n_ranks
-        interior = max(
-            range(self.decomp.n_ranks),
-            key=lambda r: sum(
-                self.decomp.edge_bytes(nz=self.grid.nz, width=1, rank=r)
-            ),
+        per_iter_flops = fc.total / ni / decomp.n_ranks
+        edges = decomp.critical_edge_bytes(
+            nz=nz, width=1, itemsize=self._solver_itemsize
         )
-        edges = self.decomp.edge_bytes(
-            nz=self.grid.nz, width=1, itemsize=self._solver_itemsize, rank=interior
-        )
+        texch = be.exchange_time(edges, mixmode=mixmode, n_ranks=n_ranks)
+        tgsum = be.gsum_time(rt.n_nodes, self._gsum_nbytes, smp=rt.mixmode)
         rt.sync()
         rt.charge_phase(
-            compute=ni * per_iter / rt.machine.fds,
-            exchange=ni * 2 * be.exchange_time(edges, mixmode=rt.mixmode, n_ranks=rt.n_ranks),
-            gsum=ni * 2 * be.gsum_time(rt.n_nodes, self._gsum_nbytes, smp=rt.mixmode),
+            compute=ni * per_iter_flops / rt.machine.fds,
+            exchange=ni * 2 * texch,
+            gsum=ni * 2 * tgsum,
             flops=fc.total,
             n_exchanges=2 * ni,
             n_gsums=2 * ni,
-            phase="nh",
+            phase=phase,
         )
-
-    def _charge_ds(self, cg_res: CGResult, counter: FlopCounter) -> None:
-        """Charge the aggregated, globally-synchronous DS cost.
-
-        Per iteration: max-tile compute at Fds, one 2-field width-1
-        exchange, two global sums (Sections 4, 5.2).
-        """
-        rt = self.runtime
-        be = rt.backend
-        ni = max(cg_res.iterations, 1)
-        n_ds_tiles = self.ds_decomp.n_ranks
-        # per-iteration per-DS-tile compute time at Fds
-        per_iter_flops = counter.total / ni / n_ds_tiles
-        t_compute = ni * per_iter_flops / rt.machine.fds
-        # one exchange of two 2-D fields per iteration (interior tile)
-        interior = max(
-            range(n_ds_tiles),
-            key=lambda r: sum(self.ds_decomp.edge_bytes(nz=1, width=1, rank=r)),
-        )
-        edges = self.ds_decomp.edge_bytes(
-            nz=1, width=1, itemsize=self._solver_itemsize, rank=interior
-        )
-        t_exch = ni * 2 * be.exchange_time(edges, mixmode=False)
-        t_gsum = ni * 2 * be.gsum_time(rt.n_nodes, self._gsum_nbytes, smp=rt.mixmode)
-        rt.sync()
-        rt.charge_phase(
-            compute=t_compute,
-            exchange=t_exch,
-            gsum=t_gsum,
-            flops=counter.total,
-            n_exchanges=2 * ni,
-            n_gsums=2 * ni,
-            phase="ds",
-        )
+        return result
 
     # -- diagnostics -----------------------------------------------------
 

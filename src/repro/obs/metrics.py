@@ -181,7 +181,7 @@ def phase_crosscheck(model) -> list[dict]:
 
     Predictions come from the same analytic
     :class:`~repro.network.costmodel.CommCostModel` the paper's Fig. 11
-    uses: PS exchanges five 3-D fields per step at the interior-tile
+    uses: PS exchanges five 3-D fields per step at the critical rank's
     halo volume; DS runs two 2-field width-1 exchanges and two global
     sums per solver iteration.
     """
@@ -195,17 +195,12 @@ def phase_crosscheck(model) -> list[dict]:
     ps = totals.get("ps", PhaseTotals())
     ds = totals.get("ds", PhaseTotals())
 
-    # PS: one five-field full-halo 3-D exchange per step, critical path =
-    # the rank whose halo volume prices highest.
-    d = model.decomp
-    nz = model.grid.nz
-    t_x3 = max(
-        cm.exchange_time(
-            d.edge_bytes(nz=nz, width=model.config.olx, rank=r),
-            mixmode=rt.mixmode,
-            n_ranks=rt.n_ranks,
-        )
-        for r in range(d.n_ranks)
+    # PS: one five-field full-halo 3-D exchange per step at the
+    # critical rank.
+    t_x3 = cm.exchange_time(
+        model.decomp.critical_edge_bytes(nz=model.grid.nz, width=model.config.olx),
+        mixmode=rt.mixmode,
+        n_ranks=rt.n_ranks,
     )
     ps_exch_pred = 5 * t_x3 * n_steps
 
@@ -215,12 +210,7 @@ def phase_crosscheck(model) -> list[dict]:
     # DS: per CG iteration one 2-field width-1 2-D exchange and two
     # global sums over the SMP masters (Sections 4.2, 5.2).
     ni_total = sum(max(h.ni, 1) for h in model.history)
-    dsd = model.ds_decomp
-    interior = max(
-        range(dsd.n_ranks),
-        key=lambda r: sum(dsd.edge_bytes(nz=1, width=1, rank=r)),
-    )
-    edges = dsd.edge_bytes(nz=1, width=1, rank=interior)
+    edges = model.ds_decomp.critical_edge_bytes(nz=1, width=1)
     ds_exch_pred = ni_total * 2 * cm.exchange_time(edges, mixmode=False)
     ds_gsum_pred = ni_total * 2 * cm.gsum_time(rt.n_nodes, smp=rt.mixmode)
 

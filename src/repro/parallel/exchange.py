@@ -125,7 +125,7 @@ class HaloExchanger:
     """Convenience binding of a decomposition for repeated exchanges.
 
     With a ``backend`` (tier name or :class:`repro.backend.CommBackend`)
-    each exchange also accumulates its worst-rank communication cost in
+    each exchange also accumulates its critical-rank communication cost in
     :attr:`elapsed` — the standalone-benchmark counterpart of the
     virtual time :class:`~repro.parallel.runtime.LockstepRuntime`
     charges; without one the exchanger stays a free data mover.
@@ -147,7 +147,7 @@ class HaloExchanger:
         self.backend = backend
         self.mixmode = mixmode
         self.itemsize = itemsize
-        #: Accumulated worst-rank exchange seconds (0.0 without backend).
+        #: Accumulated critical-rank exchange seconds (0.0 without backend).
         self.elapsed = 0.0
 
     def __call__(self, fields: Sequence[np.ndarray], width: Optional[int] = None) -> None:
@@ -155,15 +155,12 @@ class HaloExchanger:
         self.count += 1
         if self.backend is not None:
             nz = 1 if fields[0].ndim == 2 else fields[0].shape[0]
-            self.elapsed += max(
-                self.backend.exchange_time(
-                    self.decomp.edge_bytes(
-                        nz=nz, width=width, itemsize=self.itemsize, rank=r
-                    ),
-                    mixmode=self.mixmode,
-                    n_ranks=self.decomp.n_ranks,
-                )
-                for r in range(self.decomp.n_ranks)
+            self.elapsed += self.backend.exchange_time(
+                self.decomp.critical_edge_bytes(
+                    nz=nz, width=width, itemsize=self.itemsize
+                ),
+                mixmode=self.mixmode,
+                n_ranks=self.decomp.n_ranks,
             )
 
     def gather_global(self, fields: Sequence[np.ndarray]) -> np.ndarray:

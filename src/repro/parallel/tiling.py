@@ -184,6 +184,15 @@ class Decomposition:
         evidently rode inside the measured costs).  Edges with no remote
         neighbour — walls, or a periodic wrap back onto the same rank —
         contribute zero network bytes.
+
+        **Critical rank.**  A globally synchronous phase waits for its
+        slowest exchange, so every phase-level price (texchxyz, texchxy,
+        the CG solve charge, the PFPP tables) uses one rank's edges: the
+        first rank with the most edge bytes.  Tiles are uniform, so that
+        rank's non-zero edges are a superset of every other rank's and
+        no rank's exchange prices higher; the choice depends only on the
+        geometry, never on ``nz``, ``width`` or ``itemsize``.
+        :meth:`critical_edge_bytes` is the one place that applies it.
         """
         w = self.olx if width is None else width
         t = self.tiles[rank]
@@ -200,11 +209,18 @@ class Decomposition:
             sizes.append(cells * itemsize)
         return sizes
 
-    def exchange_volume_bytes(
-        self, nz: int = 1, width: Optional[int] = None, itemsize: int = 8, rank: int = 0
-    ) -> int:
-        """Total bytes rank ``rank`` sends in a full exchange of one field."""
-        return sum(self.edge_bytes(nz, width, itemsize, rank))
+    def critical_edge_bytes(
+        self, nz: int = 1, width: Optional[int] = None, itemsize: int = 8
+    ) -> list[int]:
+        """:meth:`edge_bytes` of the critical rank (see there); the rank
+        is found once per decomposition and cached."""
+        rank = getattr(self, "_critical_rank", None)
+        if rank is None:
+            rank = self._critical_rank = max(
+                range(self.n_ranks),
+                key=lambda r: sum(self.edge_bytes(width=1, rank=r)),
+            )
+        return self.edge_bytes(nz, width, itemsize, rank)
 
 
 class RankMap:

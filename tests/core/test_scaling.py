@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.backend import AnalyticBackend
 from repro.core.scaling import cpu_sweep, model_at, resolution_sweep
 from repro.network.costmodel import arctic_cost_model, fast_ethernet_cost_model
+
+
+def priced(cost_model):
+    """The measured-table pricing of ``cost_model`` as a backend."""
+    return AnalyticBackend(model=cost_model, calibrated=False)
 
 
 class TestModelAt:
@@ -20,6 +26,13 @@ class TestModelAt:
         with pytest.raises(ValueError):
             model_at(16, nx=30, ny=64)
 
+    def test_non_power_of_two_cpus_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            model_at(12)
+
+    def test_default_pricing_is_measured_table_arctic(self):
+        assert model_at(16) == model_at(16, backend=priced(arctic_cost_model()))
+
     def test_pfpp_fields_populated(self):
         p = model_at(16)
         assert p.pfpp_ds > 0 and p.pfpp_ps > 0
@@ -27,17 +40,17 @@ class TestModelAt:
 
 class TestSweeps:
     def test_arctic_sustained_monotone_through_64(self):
-        pts = cpu_sweep((1, 2, 4, 8, 16, 32, 64), cost_model=arctic_cost_model())
+        pts = cpu_sweep((1, 2, 4, 8, 16, 32, 64), backend=priced(arctic_cost_model()))
         rates = [p.sustained for p in pts]
         assert rates == sorted(rates)
 
     def test_efficiency_never_exceeds_one(self):
         for cm in (arctic_cost_model(), fast_ethernet_cost_model()):
-            for p in cpu_sweep((1, 4, 16, 64), cost_model=cm):
+            for p in cpu_sweep((1, 4, 16, 64), backend=priced(cm)):
                 assert p.efficiency <= 1.0 + 1e-9
 
     def test_fe_aggregate_peaks_before_64(self):
-        pts = cpu_sweep((1, 4, 16, 64), cost_model=fast_ethernet_cost_model())
+        pts = cpu_sweep((1, 4, 16, 64), backend=priced(fast_ethernet_cost_model()))
         rates = [p.sustained for p in pts]
         assert max(rates) != rates[-1]
 
@@ -48,6 +61,6 @@ class TestSweeps:
 
     def test_interconnect_ordering_at_every_size(self):
         for n in (4, 16, 64):
-            a = model_at(n, cost_model=arctic_cost_model())
-            f = model_at(n, cost_model=fast_ethernet_cost_model())
+            a = model_at(n, backend=priced(arctic_cost_model()))
+            f = model_at(n, backend=priced(fast_ethernet_cost_model()))
             assert a.sustained > f.sustained

@@ -33,6 +33,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             Model(self.base(**{field: value}))
 
+    @pytest.mark.parametrize("field", ["ds_px", "ds_py"])
+    def test_half_set_ds_shape_rejected(self, field):
+        """A DS shape needs both extents; one alone used to be ignored
+        silently (the solve ran on the default DS tiling)."""
+        cfg = ModelConfig(
+            grid=GridParams(nx=16, ny=8, nz=2), px=4, py=2, **{field: 1}
+        )
+        with pytest.raises(ValueError, match="ds_px.*ds_py"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="ds_px.*ds_py"):
+            Model(cfg)
+
 
 class TestTrafficAccounting:
     def test_bytes_exchanged_match_edge_arithmetic(self):

@@ -32,12 +32,8 @@ class TestPhaseBreakdown:
         """The measured per-step PS exchange equals 5 x texchxyz for
         this configuration's tile geometry."""
         cm = arctic_cost_model()
-        edges = run.decomp.edge_bytes(nz=8, rank=0)  # all tiles equivalent here?
-        worst_edges = max(
-            (run.decomp.edge_bytes(nz=8, rank=r) for r in range(run.decomp.n_ranks)),
-            key=sum,
-        )
-        expected = 5 * cm.exchange_time(worst_edges, mixmode=True)
+        edges = run.decomp.critical_edge_bytes(nz=8)
+        expected = 5 * cm.exchange_time(edges, mixmode=True)
         measured = run.performance_breakdown()["tps_exch"]
         assert measured == pytest.approx(expected, rel=0.05)
 
@@ -54,11 +50,7 @@ class TestPhaseBreakdown:
     def test_tds_per_iteration_matches_model(self, run):
         cm = arctic_cost_model()
         bd = run.performance_breakdown()
-        ds_rank = max(
-            range(run.ds_decomp.n_ranks),
-            key=lambda r: sum(run.ds_decomp.edge_bytes(nz=1, width=1, rank=r)),
-        )
-        texchxy = cm.exchange_time(run.ds_decomp.edge_bytes(nz=1, width=1, rank=ds_rank))
+        texchxy = cm.exchange_time(run.ds_decomp.critical_edge_bytes(nz=1, width=1))
         tgsum = cm.gsum_time(run.runtime.n_nodes, smp=True)
         hist = run.history[1:]
         ni = bd["ni"]

@@ -109,6 +109,41 @@ class TestEdgeBytes:
         assert narrow[0] < full[0]
         assert narrow[0] == 1 * 16 * 1 * 8
 
+    def test_critical_edges_on_reference_grid(self):
+        """On the reference 4x4 tiling the critical rank is the first
+        interior-row tile, whose edges equal every interior tile's."""
+        d = Decomposition(128, 64, 4, 4, olx=3)
+        assert d.critical_edge_bytes(nz=10) == d.edge_bytes(nz=10, rank=5)
+        assert sum(d.critical_edge_bytes(nz=10)) == 23040
+
+
+@given(
+    px=st.sampled_from([1, 2, 4, 8]),
+    py=st.sampled_from([1, 2, 4]),
+    olx=st.integers(min_value=1, max_value=2),
+    nz=st.integers(min_value=1, max_value=12),
+    width=st.integers(min_value=1, max_value=2),
+    itemsize=st.sampled_from([4, 8]),
+    periodic_y=st.booleans(),
+)
+@settings(max_examples=60)
+def test_property_critical_edges_dominate_every_rank(
+    px, py, olx, nz, width, itemsize, periodic_y
+):
+    """The critical rank's edges are the first maximal edge list for any
+    level count, width and itemsize, and dominate every rank edge by
+    edge — so no rank's exchange can price higher."""
+    width = min(width, olx)
+    d = Decomposition(64, 32, px, py, olx=olx, periodic_y=periodic_y)
+    crit = d.critical_edge_bytes(nz=nz, width=width, itemsize=itemsize)
+    per_rank = [
+        d.edge_bytes(nz=nz, width=width, itemsize=itemsize, rank=r)
+        for r in range(d.n_ranks)
+    ]
+    assert crit == max(per_rank, key=sum)
+    for edges in per_rank:
+        assert all(c >= e for c, e in zip(sorted(crit), sorted(edges)))
+
 
 @given(
     px=st.sampled_from([1, 2, 4]),
